@@ -9,9 +9,9 @@
 //!
 //! * **Counter drift (always on):** every sharded run's `bytes_moved` /
 //!   `worms_delivered` must equal the sequential baseline measured in the
-//!   same process, and the 0.08/0.12 span-batched points must also match
-//!   the checked-in `results/BENCH_wallclock.json` "after" rows — sharding
-//!   must never change *what* is simulated. Exits non-zero on drift.
+//!   same process — sharding must never change *what* is simulated. The
+//!   sequential points themselves are pinned by `wormbench`'s outcome
+//!   digests (`wormbench/pinned_digests.txt`). Exits non-zero on drift.
 //! * **Event inflation (always on):** the 4-shard run at the saturating
 //!   load must schedule at most 1.3× the sequential engine's events. This
 //!   pins the receive-side span admission protocol (DESIGN.md §3.4): if
@@ -30,7 +30,7 @@ use wormcast_bench::fig10::{self, figure_tree_scheme, Fig10Config};
 use wormcast_bench::runner::{self, SimSetup};
 use wormcast_topo::ShardPlan;
 
-/// Same windows and seed as `BENCH_wallclock.json`, so counters line up.
+/// The Fig 10 windows and seed that `results/BENCH_engine.json` pins.
 const LOADS: &[f64] = &[0.08, 0.12];
 const SHARDS: &[u32] = &[1, 2, 4];
 const CFG: Fig10Config = Fig10Config {
@@ -100,56 +100,6 @@ fn point(load: f64, shards: u32) -> SimSetup {
         setup.shard_plan = Some(ShardPlan::torus_grid(8, shards).expect("torus plan"));
     }
     setup
-}
-
-fn field_u64(v: &serde_json::Value, key: &str) -> u64 {
-    match v.get(key) {
-        Some(&serde_json::Value::U64(n)) => n,
-        other => panic!("BENCH_wallclock.json {key}: expected u64, got {other:?}"),
-    }
-}
-
-/// The sharded points must reproduce the checked-in sequential wall-clock
-/// baseline's counters at the shared operating points.
-fn check_against_wallclock_baseline(rows: &[ShardRow], results_dir: &str) -> bool {
-    let path = format!("{results_dir}/BENCH_wallclock.json");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        eprintln!("perf-shard: no {path}; skipping baseline check");
-        return true;
-    };
-    let baseline = serde_json::parse_value(&text).expect("parse BENCH_wallclock.json");
-    let after = baseline.get("after").expect("after phase");
-    let serde_json::Value::Array(brows) = after.get("rows").expect("rows").clone() else {
-        panic!("BENCH_wallclock.json after.rows is not an array");
-    };
-    let scheme = format!("{:?}", figure_tree_scheme());
-    let mut ok = true;
-    for &load in LOADS {
-        let b = brows
-            .iter()
-            .find(|r| {
-                matches!(r.get("load"), Some(&serde_json::Value::F64(l)) if l == load)
-                    && matches!(r.get("scheme"), Some(serde_json::Value::Str(s)) if *s == scheme)
-                    && matches!(r.get("mode"), Some(serde_json::Value::Str(m)) if m == "span_batched")
-            })
-            .unwrap_or_else(|| panic!("no BENCH_wallclock row for load {load}"));
-        let expect = (field_u64(b, "bytes_moved"), field_u64(b, "worms_delivered"));
-        for row in rows.iter().filter(|r| r.load == load) {
-            let got = (row.bytes_moved, row.worms_delivered);
-            if got != expect {
-                eprintln!(
-                    "perf-shard: DRIFT vs BENCH_wallclock.json at load {load} shards \
-                     {}: (bytes_moved, worms_delivered) got {got:?}, baseline {expect:?}",
-                    row.shards
-                );
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        eprintln!("perf-shard: counters match BENCH_wallclock.json");
-    }
-    ok
 }
 
 fn main() {
@@ -222,8 +172,6 @@ fn main() {
             });
         }
     }
-
-    ok &= check_against_wallclock_baseline(&rows, results_dir);
 
     let gate_enforced = cpus() >= 4;
     let dump = ShardDump {

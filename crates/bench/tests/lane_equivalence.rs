@@ -9,8 +9,8 @@
 //!
 //! The multi-lane tests then check the one property lanes must add
 //! (per-lane STOP isolation: a stopped lane never blocks its siblings)
-//! without re-deriving throughput claims — those are gated in
-//! `perf_lanes` against `results/BENCH_lanes.json`.
+//! without re-deriving throughput claims — lane capacity at the Fig 10
+//! points is pinned in `engine_pins.rs`.
 
 use wormcast_bench::runner::{build_network, build_sharded, SimSetup};
 use wormcast_bench::Scheme;

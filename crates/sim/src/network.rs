@@ -1014,7 +1014,7 @@ impl Network {
     }
 
     /// Resolve a canonical worm name (the `worm` field of
-    /// [`TraceEvent`](crate::trace::TraceEvent)s) back to the local worm
+    /// [`crate::trace::TraceEvent`]s) back to the local worm
     /// instance. Linear scan — meant for diagnostics and trace
     /// post-processing, not the simulation hot path.
     pub fn worm_by_name(&self, name: u64) -> Option<&WormInstance> {

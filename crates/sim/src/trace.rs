@@ -154,7 +154,12 @@ impl TraceEvent {
 pub struct Trace {
     cfg: TraceConfig,
     enabled: bool,
+    /// Recorded events; the live log is `events[head..]`.
     events: Vec<(SimTime, TraceEvent)>,
+    /// Ring sinks retire their oldest event by stepping `head` past it,
+    /// and compact the retired prefix once it reaches the ring capacity,
+    /// so a push onto a full ring is amortised O(1).
+    head: usize,
     /// Events discarded by ring overflow.
     dropped: u64,
 }
@@ -173,6 +178,7 @@ impl Trace {
             cfg,
             enabled: !matches!(cfg, TraceConfig::Off),
             events: Vec::new(),
+            head: 0,
             dropped: 0,
         }
     }
@@ -199,17 +205,22 @@ impl Trace {
         if !self.enabled {
             return;
         }
+        self.events.push((at, ev));
         if let TraceConfig::Ring { capacity } = self.cfg {
-            if self.events.len() >= capacity {
-                self.events.remove(0);
+            if self.len() > capacity {
+                self.head += 1;
                 self.dropped += 1;
+                if self.head >= capacity {
+                    self.events.drain(..self.head);
+                    self.head = 0;
+                }
             }
         }
-        self.events.push((at, ev));
     }
 
+    /// The recorded events, oldest first.
     pub fn events(&self) -> &[(SimTime, TraceEvent)] {
-        &self.events
+        &self.events[self.head..]
     }
 
     /// Append another recorder's log verbatim (sharded-run merging):
@@ -218,21 +229,21 @@ impl Trace {
     /// re-applied here; a ring budget is per engine, so a merged
     /// sharded trace may hold up to `shards × capacity` events.
     pub(crate) fn absorb(&mut self, other: &Trace) {
-        self.events.extend_from_slice(&other.events);
+        self.events.extend_from_slice(other.events());
         self.dropped += other.dropped;
     }
 
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.events.len() - self.head
     }
 
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.len() == 0
     }
 
     /// All events concerning a particular host, in time order.
     pub fn for_host(&self, host: HostId) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.events
+        self.events()
             .iter()
             .filter(move |(_, e)| e.host() == Some(host))
     }
@@ -240,7 +251,7 @@ impl Trace {
     /// The sequence of message deliveries observed at `host`, in time order.
     /// Used by total-ordering checks.
     pub fn delivery_order(&self, host: HostId) -> Vec<MessageId> {
-        self.events
+        self.events()
             .iter()
             .filter_map(|(_, e)| match e {
                 TraceEvent::Delivered { msg, host: h } if *h == host => Some(*msg),
@@ -268,9 +279,9 @@ impl Trace {
     /// trace) instead of one `String` per event. Same output as
     /// [`Trace::to_jsonl`].
     pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        let mut arena = String::with_capacity(self.events.len() * 48);
-        let mut index: Vec<(SimTime, usize, usize)> = Vec::with_capacity(self.events.len());
-        for (t, e) in &self.events {
+        let mut arena = String::with_capacity(self.len() * 48);
+        let mut index: Vec<(SimTime, usize, usize)> = Vec::with_capacity(self.len());
+        for (t, e) in self.events() {
             let start = arena.len();
             render_line(&mut arena, *t, e);
             index.push((*t, start, arena.len()));
@@ -452,17 +463,27 @@ mod tests {
 
     #[test]
     fn ring_sink_drops_oldest() {
-        let mut t = Trace::new(TraceConfig::Ring { capacity: 2 });
-        for i in 0..5u32 {
-            t.push(i as SimTime, TraceEvent::WormInjected {
-                worm: u64::from(i),
+        // A full ring holds the newest `capacity` events in order and
+        // counts the drops; checked after every push, through several
+        // compactions of the retired prefix.
+        let capacity = 5;
+        let mut t = Trace::new(TraceConfig::Ring { capacity });
+        for i in 0..23u64 {
+            t.push(i, TraceEvent::WormInjected {
+                worm: i,
                 host: HostId(0),
             });
+            let kept = (i + 1).min(capacity as u64);
+            let want: Vec<SimTime> = (i + 1 - kept..=i).collect();
+            let got: Vec<SimTime> = t.events().iter().map(|&(at, _)| at).collect();
+            assert_eq!(got, want, "after push {i}");
+            assert_eq!(t.len(), kept as usize);
+            assert_eq!(t.dropped(), i + 1 - kept);
+            assert_eq!(t.for_host(HostId(0)).count(), kept as usize);
         }
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 3);
-        assert_eq!(t.events()[0].0, 3, "oldest surviving event");
-        assert_eq!(t.events()[1].0, 4);
+        let jsonl = t.to_jsonl();
+        assert_eq!(jsonl.lines().count(), capacity);
+        assert!(jsonl.starts_with("{\"t\":18,"), "{jsonl}");
     }
 
     #[test]
