@@ -495,7 +495,6 @@ impl Network {
                 for inp in &mut sw.inputs {
                     if let Some(ch) = inp.chan_in {
                         inp.slack = SlackCfg::for_delay(lanes[ch.0 as usize].delay());
-                        inp.buf.reserve(inp.slack.capacity as usize);
                     }
                 }
             }
@@ -1140,7 +1139,7 @@ impl Network {
             r
         } else {
             let probed = match dst.node {
-                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire),
+                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire, worm),
                 NodeRef::Host(h) => self.adapter_span_room(h, worm),
             };
             let Some(room) = probed else {
@@ -1165,10 +1164,8 @@ impl Network {
                     .owner
                     .expect("span-ready output has an owner");
                 let inp = &mut self.switches[s.0 as usize].inputs[owner as usize];
-                for _ in 0..k {
-                    let b = inp.buf.pop_front().expect("span-ready bytes buffered");
-                    debug_assert!(b.worm == worm && matches!(b.kind, ByteKind::Data));
-                }
+                debug_assert!(inp.buf.front_data_run(worm) >= k, "span-ready bytes buffered");
+                inp.buf.pop_front_n(k);
                 // No per-dequeue GO check: `switch_span_ready` guaranteed
                 // `sent_stop` is false for the whole drain window.
                 inp.buf.is_empty()
@@ -1312,7 +1309,7 @@ impl Network {
             unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
         };
         if self
-            .switch_span_room(s, dst.port.0, 0)
+            .switch_span_room(s, dst.port.0, 0, span.worm)
             .is_some_and(|room| span.len <= room)
         {
             return true;
@@ -1414,12 +1411,13 @@ impl Network {
                     inp.state,
                     crate::switch::InState::Forwarding { worm: w, .. } if w == worm
                 ));
-                for _ in 0..revoked {
-                    inp.buf.push_front(crate::worm::WireByte {
+                inp.buf.push_front_n(
+                    crate::worm::WireByte {
                         worm,
                         kind: ByteKind::Data,
-                    });
-                }
+                    },
+                    revoked,
+                );
             }
             NodeRef::Host(h) => {
                 let a = &mut self.adapters[h.0 as usize];

@@ -8,7 +8,7 @@
 //! [`crate::switchcast`].
 
 use crate::engine::{CtrlSym, SwitchId};
-use crate::link::{ChanId, LaneArbiter, LaneCandidate};
+use crate::link::{ChanId, LaneArbiter, LaneCandidate, NodeRef};
 use crate::network::Network;
 use crate::time::SimTime;
 use crate::worm::{ByteKind, RouteSym, WireByte, WormId, WormKind};
@@ -62,6 +62,160 @@ impl SlackCfg {
     }
 }
 
+/// Runs a fresh slack buffer holds before its ring allocates.
+const SLACK_RUNS: usize = 8;
+
+/// A slack buffer stored as runs: consecutive identical bytes (in practice
+/// the data bytes of one worm) share one `(byte, count)` entry, so a span
+/// deposit or drain costs O(1) however many bytes it moves, and the
+/// buffer's memory tracks the number of runs rather than bytes. Adjacent
+/// runs are always distinct: pushes merge into the neighbouring run and
+/// pops only ever remove from the ends.
+#[derive(Debug, Default)]
+pub struct SlackBuf {
+    runs: VecDeque<(WireByte, u32)>,
+    len: u32,
+}
+
+impl SlackBuf {
+    /// An empty buffer with room for `runs` runs before it allocates.
+    pub fn with_capacity(runs: usize) -> Self {
+        SlackBuf {
+            runs: VecDeque::with_capacity(runs),
+            len: 0,
+        }
+    }
+
+    /// Bytes held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The oldest byte.
+    #[inline]
+    pub fn front(&self) -> Option<&WireByte> {
+        self.runs.front().map(|(b, _)| b)
+    }
+
+    /// The newest byte.
+    #[inline]
+    pub fn back(&self) -> Option<&WireByte> {
+        self.runs.back().map(|(b, _)| b)
+    }
+
+    /// The byte at position `i` from the front (a scan over runs).
+    pub fn get(&self, mut i: usize) -> Option<&WireByte> {
+        for (b, n) in &self.runs {
+            if i < *n as usize {
+                return Some(b);
+            }
+            i -= *n as usize;
+        }
+        None
+    }
+
+    pub fn push_back(&mut self, b: WireByte) {
+        self.push_back_n(b, 1);
+    }
+
+    /// Append `n` copies of `b`.
+    pub fn push_back_n(&mut self, b: WireByte, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let n = u32::try_from(n).expect("slack run fits in u32");
+        match self.runs.back_mut() {
+            Some((last, count)) if *last == b => *count += n,
+            _ => self.runs.push_back((b, n)),
+        }
+        self.len += n;
+    }
+
+    /// Prepend `n` copies of `b` (STOP truncation handing a span's revoked
+    /// bytes back to its producer).
+    pub fn push_front_n(&mut self, b: WireByte, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let n = u32::try_from(n).expect("slack run fits in u32");
+        match self.runs.front_mut() {
+            Some((first, count)) if *first == b => *count += n,
+            _ => self.runs.push_front((b, n)),
+        }
+        self.len += n;
+    }
+
+    pub fn pop_front(&mut self) -> Option<WireByte> {
+        let (b, count) = self.runs.front_mut()?;
+        let b = *b;
+        *count -= 1;
+        if *count == 0 {
+            self.runs.pop_front();
+        }
+        self.len -= 1;
+        Some(b)
+    }
+
+    pub fn pop_back(&mut self) -> Option<WireByte> {
+        let (b, count) = self.runs.back_mut()?;
+        let b = *b;
+        *count -= 1;
+        if *count == 0 {
+            self.runs.pop_back();
+        }
+        self.len -= 1;
+        Some(b)
+    }
+
+    /// Remove the `n` oldest bytes. Panics if fewer are held.
+    pub fn pop_front_n(&mut self, n: u64) {
+        assert!(n <= self.len as u64, "popping {n} of {} buffered bytes", self.len);
+        let mut left = n as u32;
+        while left > 0 {
+            let (_, count) = self.runs.front_mut().expect("length covers the runs");
+            if *count > left {
+                *count -= left;
+                break;
+            }
+            left -= *count;
+            self.runs.pop_front();
+        }
+        self.len -= n as u32;
+    }
+
+    /// Length of the run of `worm`'s data bytes at the front.
+    #[inline]
+    pub fn front_data_run(&self, worm: WormId) -> u64 {
+        match self.runs.front() {
+            Some((b, n)) if b.worm == worm && b.kind == ByteKind::Data => *n as u64,
+            _ => 0,
+        }
+    }
+
+    /// Bytes of `worm`, of any kind, at the front.
+    pub fn front_worm_len(&self, worm: WormId) -> u64 {
+        self.runs
+            .iter()
+            .take_while(|(b, _)| b.worm == worm)
+            .map(|(_, n)| *n as u64)
+            .sum()
+    }
+}
+
+impl std::ops::Index<usize> for SlackBuf {
+    type Output = WireByte;
+
+    fn index(&self, i: usize) -> &WireByte {
+        self.get(i).expect("slack buffer index out of range")
+    }
+}
+
 /// Input-port worm-processing state.
 ///
 /// Port indices distinguish *physical* ports (what route bytes name) from
@@ -92,7 +246,7 @@ pub struct InPort {
     /// The channel delivering bytes into this port (None if unconnected).
     pub chan_in: Option<ChanId>,
     /// The slack buffer.
-    pub buf: VecDeque<WireByte>,
+    pub buf: SlackBuf,
     pub slack: SlackCfg,
     /// True while our STOP is in force upstream.
     pub sent_stop: bool,
@@ -106,10 +260,10 @@ impl InPort {
     pub fn new(slack: SlackCfg) -> Self {
         InPort {
             chan_in: None,
-            // The slack buffer is bounded by its configured capacity;
-            // reserving it up front keeps the per-byte enqueue path free
-            // of allocator calls for the life of the simulation.
-            buf: VecDeque::with_capacity(slack.capacity as usize),
+            // A buffer rarely holds more than a few runs (the tail of one
+            // worm, the route bytes and body of the next); past this the
+            // ring grows once to its high-water mark and stays there.
+            buf: SlackBuf::with_capacity(SLACK_RUNS),
             slack,
             sent_stop: false,
             state: InState::Idle,
@@ -683,33 +837,98 @@ impl Network {
             Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
             None => 0,
         };
-        if inp.occupancy() as u64 + wire >= inp.slack.stop_mark as u64 {
+        let held = inp.occupancy() as u64 + wire;
+        let run = inp.buf.front_data_run(worm);
+        if run == 0
+            || (held >= inp.slack.stop_mark as u64 && !self.path_absorbs(sw, out, worm, held))
+        {
             return None;
         }
-        let run = inp
-            .buf
-            .iter()
-            .take_while(|b| b.worm == worm && matches!(b.kind, ByteKind::Data))
-            .count() as u64;
-        if run == 0 {
-            None
-        } else {
-            Some((worm, run))
+        Some((worm, run))
+    }
+
+    /// Whether everything `held` at an input that forwards `worm` through
+    /// output `out` — its buffer plus its incoming wire — can stream on
+    /// without raising a STOP anywhere downstream. A chained span (one
+    /// whose path room let it exceed this input's own slack, DESIGN.md
+    /// §3.1) lands more bytes than the stop mark; physically they are
+    /// passing through, so the drain stays exact as long as the path ahead
+    /// can take all of them. Sharded runs keep the one-hop rule.
+    fn path_absorbs(&self, sw: SwitchId, out: u8, worm: WormId, held: u64) -> bool {
+        if self.shard.is_some() {
+            return false;
+        }
+        // The caller is a kick on this output's lane, so it is unstopped.
+        let Some(c) = self.switches[sw.0 as usize].outputs[out as usize].chan_out else {
+            return false;
+        };
+        let lane = &self.lanes[c.0 as usize];
+        let dst = lane.dst();
+        match dst.node {
+            // Adapters never send STOP.
+            NodeRef::Host(_) => true,
+            NodeRef::Switch(next) => self
+                .switch_span_room(next, dst.port.0, lane.in_flight() as u64, worm)
+                .is_some_and(|room| room >= held),
         }
     }
 
-    /// Span fast-path check for a receiving switch input: how many bytes can
-    /// land (in one event, plus everything already on the wire) while
-    /// provably staying below the STOP watermark for the whole per-byte
-    /// delivery window. `wire` is the byte count already in flight on the
-    /// incoming channel.
-    pub(crate) fn switch_span_room(&self, sw: SwitchId, port: u8, wire: u64) -> Option<u64> {
-        let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-        // With a STOP in force the per-byte GO/STOP interplay is exact;
-        // stay on the slow path until it clears.
-        if inp.sent_stop {
-            return None;
+    /// Span fast-path check for a receiving switch input: how many bytes of
+    /// `worm` can land (in one event, plus everything already on the wire)
+    /// while provably staying below the STOP watermark for the whole
+    /// per-byte delivery window. `wire` is the byte count already in flight
+    /// on the incoming channel.
+    ///
+    /// The room is measured along the worm's established path, not at the
+    /// landing input alone: an input that forwards `worm`, with no STOP of
+    /// its own in force, onto an unstopped lane passes the bytes on at one
+    /// per byte-time as they arrive and never accumulates them. The walk
+    /// steps through such inputs, charging each one's occupancy and its
+    /// output lane's in-flight bytes, and stops at the first input that
+    /// does not pass through. There the whole charge — every byte that
+    /// could pile up behind it — must stay below its stop mark, which is
+    /// the one-hop rule applied at the end of the pipeline. A path that
+    /// reaches a host adapter has unlimited room: adapters never send
+    /// STOP. Sharded runs (where the path may leave this shard) keep the
+    /// one-hop rule.
+    pub(crate) fn switch_span_room(
+        &self,
+        sw: SwitchId,
+        port: u8,
+        wire: u64,
+        worm: WormId,
+    ) -> Option<u64> {
+        let walk = self.shard.is_none();
+        let mut used = wire;
+        let (mut sw, mut port) = (sw, port);
+        loop {
+            let inp = &self.switches[sw.0 as usize].inputs[port as usize];
+            // With a STOP in force the per-byte GO/STOP interplay is exact;
+            // stay on the slow path until it clears.
+            if inp.sent_stop {
+                return None;
+            }
+            used += inp.occupancy() as u64;
+            let passing = match inp.state {
+                InState::Forwarding { worm: w, out } if walk && w == worm => {
+                    self.switches[sw.0 as usize].outputs[out as usize]
+                        .chan_out
+                        .filter(|&c| !self.lanes[c.0 as usize].is_stopped())
+                }
+                _ => None,
+            };
+            let Some(c) = passing else {
+                break;
+            };
+            let lane = &self.lanes[c.0 as usize];
+            used += lane.in_flight() as u64;
+            let dst = lane.dst();
+            match dst.node {
+                NodeRef::Host(_) => return Some(u64::MAX),
+                NodeRef::Switch(next) => (sw, port) = (next, dst.port.0),
+            }
         }
+        let inp = &self.switches[sw.0 as usize].inputs[port as usize];
         // An optimistic span this input batch-drained toward a cut
         // downstream lane is a gamble still in flight: the receive-side
         // owner may yet refuse or STOP-truncate it, and the per-byte
@@ -721,20 +940,18 @@ impl Network {
         // defer a STOP crossing the per-byte twin takes mid-window.
         // Intra-shard drains need no charge — their emission guard
         // certified the whole drain window crossing-free.
-        let advance = match inp.state {
-            InState::Forwarding { out, .. } => self.switches[sw.0 as usize].outputs
-                [out as usize]
+        if let InState::Forwarding { out, .. } = inp.state {
+            if let Some(c) = self.switches[sw.0 as usize].outputs[out as usize]
                 .chan_out
                 .filter(|&c| self.chan_dst_foreign(c))
-                .map_or(0, |c| {
-                    self.lanes[c.0 as usize].drain_advance(self.scheduler.now())
-                }),
-            _ => 0,
-        };
-        let used = inp.occupancy() as u64 + wire + advance;
+            {
+                used += self.lanes[c.0 as usize].drain_advance(self.scheduler.now());
+            }
+        }
         let mark = inp.slack.stop_mark as u64;
-        // Strictly below the mark even after all `wire + k` bytes land with
-        // no dequeue: occupancy can never cross it in either mode.
+        // Strictly below the mark even after all `used + k` bytes land at
+        // the end of the path with no dequeue: occupancy can never cross it
+        // in either mode.
         if used + 1 >= mark {
             None
         } else {
@@ -744,26 +961,36 @@ impl Network {
 
     /// A batched run of `len` data bytes of `worm` arrived at input `port`
     /// (span-batched mode). The emission guards guarantee the run fits below
-    /// the STOP watermark; the bytes are buffered in one go and the input
-    /// state machine advances once.
+    /// the STOP watermark of the input where it will come to rest; the
+    /// bytes are buffered in one go and the input state machine advances
+    /// once.
     pub(crate) fn switch_rx_span(&mut self, sw: SwitchId, port: u8, worm: WormId, len: u64) {
         let (chan_in, crossed_stop) = {
             let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            debug_assert!(
-                inp.occupancy() as u64 + len <= inp.slack.capacity as u64,
-                "span overflows slack buffer at {sw:?}:{port}"
-            );
-            for _ in 0..len {
-                inp.buf.push_back(WireByte {
+            inp.buf.push_back_n(
+                WireByte {
                     worm,
                     kind: ByteKind::Data,
-                });
+                },
+                len,
+            );
+            // An input that forwards the worm passes a chained span on as
+            // it arrives (`switch_span_room`): the engine holds the run
+            // here for an instant, but the physical buffer never does, so
+            // neither the capacity nor the STOP mark applies.
+            if matches!(inp.state, InState::Forwarding { worm: w, .. } if w == worm) {
+                (inp.chan_in, false)
+            } else {
+                debug_assert!(
+                    inp.occupancy() <= inp.slack.capacity,
+                    "span overflows slack buffer at {sw:?}:{port}"
+                );
+                let crossed = inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
+                if crossed {
+                    inp.sent_stop = true;
+                }
+                (inp.chan_in, crossed)
             }
-            let crossed = inp.occupancy() >= inp.slack.stop_mark && !inp.sent_stop;
-            if crossed {
-                inp.sent_stop = true;
-            }
-            (inp.chan_in, crossed)
         };
         // The emission guard makes a crossing impossible; keep the STOP
         // behavior anyway so a guard bug degrades to legal (if no longer
@@ -852,6 +1079,87 @@ mod tests {
             go_mark: 2,
         };
         assert!(bad2.validate().is_err());
+    }
+
+    /// `SlackBuf` against a flat per-byte deque over a seeded random
+    /// sequence of every operation the engine performs on slack buffers.
+    #[test]
+    fn slack_buf_matches_flat_model() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x51AC);
+        let byte = |rng: &mut rand::rngs::SmallRng| WireByte {
+            worm: WormId(rng.gen_range(0..3)),
+            kind: match rng.gen_range(0..4) {
+                0 => ByteKind::Route(RouteSym::Port(rng.gen_range(0..2))),
+                1 => ByteKind::Tail,
+                _ => ByteKind::Data,
+            },
+        };
+        let mut buf = SlackBuf::default();
+        let mut model: VecDeque<WireByte> = VecDeque::new();
+        for step in 0..20_000 {
+            match rng.gen_range(0..7) {
+                0 => {
+                    let b = byte(&mut rng);
+                    buf.push_back(b);
+                    model.push_back(b);
+                }
+                1 => {
+                    let (b, n) = (byte(&mut rng), rng.gen_range(0..20));
+                    buf.push_back_n(b, n);
+                    model.extend(std::iter::repeat_n(b, n as usize));
+                }
+                2 => assert_eq!(buf.pop_front(), model.pop_front(), "step {step}"),
+                3 => assert_eq!(buf.pop_back(), model.pop_back(), "step {step}"),
+                4 => {
+                    let n = rng.gen_range(0..=model.len().min(25));
+                    buf.pop_front_n(n as u64);
+                    model.drain(..n);
+                }
+                5 => {
+                    // A STOP truncation: hand the tail of a drained data
+                    // run back to the front.
+                    let Some(&front) = model.front() else { continue };
+                    let run = buf.front_data_run(front.worm);
+                    let drained = rng.gen_range(0..=run);
+                    buf.pop_front_n(drained);
+                    model.drain(..drained as usize);
+                    let revoked = rng.gen_range(0..=drained);
+                    let b = WireByte {
+                        worm: front.worm,
+                        kind: ByteKind::Data,
+                    };
+                    buf.push_front_n(b, revoked);
+                    for _ in 0..revoked {
+                        model.push_front(b);
+                    }
+                }
+                _ => {
+                    while model.len() > 40 {
+                        model.pop_front();
+                        buf.pop_front();
+                    }
+                }
+            }
+            assert_eq!(buf.len(), model.len(), "step {step}");
+            assert_eq!(buf.is_empty(), model.is_empty(), "step {step}");
+            assert_eq!(buf.front(), model.front(), "step {step}");
+            assert_eq!(buf.back(), model.back(), "step {step}");
+            for (i, b) in model.iter().enumerate() {
+                assert_eq!(&buf[i], b, "step {step} index {i}");
+            }
+            assert_eq!(buf.get(model.len()), None, "step {step}");
+            for w in 0..3 {
+                let worm = WormId(w);
+                let data = model
+                    .iter()
+                    .take_while(|b| b.worm == worm && b.kind == ByteKind::Data)
+                    .count() as u64;
+                assert_eq!(buf.front_data_run(worm), data, "step {step} worm {w}");
+                let any = model.iter().take_while(|b| b.worm == worm).count() as u64;
+                assert_eq!(buf.front_worm_len(worm), any, "step {step} worm {w}");
+            }
+        }
     }
 
     fn arb() -> PortArb {

@@ -293,15 +293,8 @@ pub struct ReplicaState {
 impl ReplicaState {
     /// Absolute index one past the last body/tail byte currently available
     /// in `buf` for this worm.
-    fn available(&self, buf: &std::collections::VecDeque<WireByte>) -> u64 {
-        let mut n = 0u64;
-        for b in buf.iter() {
-            if b.worm != self.worm {
-                break;
-            }
-            n += 1;
-        }
-        self.body_released + n
+    fn available(&self, buf: &crate::switch::SlackBuf) -> u64 {
+        self.body_released + buf.front_worm_len(self.worm)
     }
 
     /// Smallest unsent body index across branches that still need bytes.

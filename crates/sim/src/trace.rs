@@ -16,9 +16,9 @@
 //! [`crate::network::SimMode::SpanBatched`]: spans carry only body (Data)
 //! bytes of a single worm, so route parsing, admission, completion and
 //! delivery stay per-byte-exact, and the span emission guards
-//! (`switch_span_ready` / `switch_span_room`) keep slack occupancy
-//! strictly below the STOP watermark with no GO owed for the whole drain
-//! window, so the STOP/GO timeline cannot differ either. Under
+//! (`switch_span_ready` / `switch_span_room`) keep every slack buffer on
+//! the span's path strictly below the STOP watermark with no GO owed for
+//! the whole drain window, so the STOP/GO timeline cannot differ either. Under
 //! `SpanBatched` the trace *additionally* records span-level engine
 //! events ([`TraceEvent::SpanEmitted`] and friends) interleaved with the
 //! lifecycle stream. Because the canonical per-byte schema contains no

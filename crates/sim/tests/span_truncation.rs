@@ -9,6 +9,15 @@
 //! `bytes_moved` counter matches at *every* horizon — so the receiver side
 //! of every stopped channel holds exactly the bytes the per-byte engine
 //! would have delivered, never a span's worth too many.
+//!
+//! The path-room tests below cover spans that ride a worm's established
+//! path through several switches (DESIGN.md §3.1): a long worm streaming
+//! down a line, a path that ends at a blocked input (so STOP and GO fire
+//! at the end of the pipeline), and a cut-through follower re-sending a
+//! worm that arrives through a path span. Besides byte progress at every
+//! horizon they compare the canonical lifecycle traces — the span-batched
+//! trace with its `span-*` engine lines erased must equal the per-byte
+//! trace line for line.
 
 #![allow(clippy::needless_range_loop)] // index math mirrors ports
 
@@ -16,7 +25,8 @@ use wormcast_sim::engine::HostId;
 use wormcast_sim::link::PortId;
 use wormcast_sim::network::{FabricSpec, HostAttach, LinkSpec, RouteTable, SimMode};
 use wormcast_sim::protocol::{
-    AdapterProtocol, AppMessage, Destination, ProtocolCtx, SendSpec, SourceMessage, TrafficSource,
+    AdapterProtocol, Admission, AppMessage, Destination, ProtocolCtx, SendSpec, SourceMessage,
+    TrafficSource,
 };
 use wormcast_sim::trace::{TraceConfig, TraceEvent};
 use wormcast_sim::worm::{WormInstance, WormKind};
@@ -52,11 +62,32 @@ impl TrafficSource for Script {
     }
 }
 
-/// A line of three switches, one host each, explicit left/right routes —
-/// hosts 0 and 1 both route through the sw1→sw2 link, so simultaneous
-/// worms to host 2 collide there and raise STOPs.
-fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) -> Network {
-    let n = 3usize;
+/// Relays every worm it receives to `next` in cut-through: the copy is
+/// queued at header time and transmits in lockstep behind the arrival
+/// (the adapter paces a follower by the bytes received so far), the way
+/// the Hc scheme's cut-through forwarding does.
+struct Relay {
+    next: HostId,
+}
+
+impl AdapterProtocol for Relay {
+    fn on_generate(&mut self, _ctx: &mut ProtocolCtx, _msg: AppMessage) {}
+    fn on_header(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) -> Admission {
+        let mut spec = SendSpec::forward(worm, self.next);
+        spec.follow = Some(worm.id);
+        ctx.send(spec);
+        Admission::Accept
+    }
+    fn on_worm_received(&mut self, ctx: &mut ProtocolCtx, worm: &WormInstance) {
+        ctx.deliver_local(worm.meta.msg);
+    }
+}
+
+/// A line of `n` switches, one host each (host `i` on switch `i`), with
+/// explicit routes between every pair of hosts: along the line, then out
+/// to the host port. Switch 0's port 0 faces right; every other switch has
+/// port 0 facing left and port 1 facing right; the host port comes last.
+fn line_net(n: usize, delay: u64, mode: SimMode, trace: TraceConfig) -> Network {
     let mut links = Vec::new();
     let mut next_port = vec![0u8; n];
     for s in 0..n - 1 {
@@ -81,13 +112,19 @@ fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) 
     }
     let right_port = |s: usize| if s == 0 { 0u8 } else { 1u8 };
     let mut rt = RouteTable::new(n);
-    for src in 0..n - 1 {
-        let mut ports = Vec::new();
-        for s in src..n - 1 {
-            ports.push(right_port(s));
+    for src in 0..n {
+        for dst in 0..n {
+            if src == dst {
+                continue;
+            }
+            let mut ports: Vec<u8> = if src < dst {
+                (src..dst).map(right_port).collect()
+            } else {
+                vec![0; src - dst]
+            };
+            ports.push(hosts[dst].port);
+            rt.set(HostId(src as u32), HostId(dst as u32), ports);
         }
-        ports.push(hosts[n - 1].port);
-        rt.set(HostId(src as u32), HostId((n - 1) as u32), ports);
     }
     let spec = FabricSpec {
         switch_ports: next_port,
@@ -105,16 +142,97 @@ fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) 
     for h in 0..n as u32 {
         net.set_protocol(HostId(h), Box::new(Echoless));
     }
+    net
+}
+
+/// Host `from` sends one `len`-byte worm to host `to` at time `at`.
+fn send_one(net: &mut Network, from: u32, to: u32, at: u64, len: u32) {
+    let items = vec![(at, SourceMessage {
+        dest: Destination::Unicast(HostId(to)),
+        payload_len: len,
+    })];
+    net.set_source(HostId(from), Box::new(Script { items, ix: 0 }), at);
+}
+
+/// A line of three switches, one host each — hosts 0 and 1 both route
+/// through the sw1→sw2 link, so simultaneous worms to host 2 collide
+/// there and raise STOPs.
+fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) -> Network {
+    let mut net = line_net(3, delay, mode, trace);
     // Both senders fire long worms nearly together; the second loses the
     // sw1→sw2 output and backpressures while spans are in flight.
     for (h, at) in [(0u32, 10u64), (1, 12)] {
-        let items = vec![(at, SourceMessage {
-            dest: Destination::Unicast(HostId(2)),
-            payload_len: worm_len,
-        })];
-        net.set_source(HostId(h), Box::new(Script { items, ix: 0 }), at);
+        send_one(&mut net, h, 2, at, worm_len);
     }
     net
+}
+
+/// Step both modes one byte-time at a time and require identical byte
+/// progress at every horizon, then identical deliveries and canonical
+/// traces once the run has drained.
+fn assert_lockstep(per_byte: &mut Network, spans: &mut Network, until: u64, label: &str) {
+    for t in 1..=until {
+        per_byte.run_until(t);
+        spans.run_until(t);
+        assert_eq!(
+            per_byte.stats.bytes_moved, spans.stats.bytes_moved,
+            "{label}: byte progress diverged at t={t}"
+        );
+    }
+    per_byte.audit().expect("per-byte conservation");
+    spans.audit().expect("span conservation");
+    assert_eq!(deliveries(per_byte), deliveries(spans), "{label}: deliveries diverged");
+    let (a, b) = (canonical(per_byte), canonical(spans));
+    assert!(!a.is_empty(), "{label}: trace captured nothing");
+    if a != b {
+        let (i, (la, lb)) = a
+            .lines()
+            .zip(b.lines())
+            .enumerate()
+            .find(|(_, (la, lb))| la != lb)
+            .unwrap_or((0, ("<length>", "<length>")));
+        panic!(
+            "{label}: canonical traces diverged at line {}:\n  per-byte: {la}\n  spans:    {lb}",
+            i + 1
+        );
+    }
+}
+
+/// A traced run's JSONL with the span-level engine lines erased: what a
+/// per-byte run of the same seed must produce.
+fn canonical(net: &Network) -> String {
+    net.trace
+        .to_jsonl()
+        .lines()
+        .filter(|l| !l.contains("\"ev\":\"span-"))
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
+/// Span-level trace events of one kind, as `(channel, len)` pairs.
+fn spans_of(net: &Network, delivered: bool) -> Vec<(u32, u64)> {
+    net.trace
+        .events()
+        .iter()
+        .filter_map(|(_, e)| match e {
+            TraceEvent::SpanEmitted { ch, len, .. } if !delivered => Some((ch.0, *len)),
+            TraceEvent::SpanDelivered { ch, len, .. } if delivered => Some((ch.0, *len)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn stops_and_goes(net: &Network) -> (usize, usize) {
+    let ev = net.trace.events();
+    let stops = ev
+        .iter()
+        .filter(|(_, e)| matches!(e, TraceEvent::StopInForce { .. }))
+        .count();
+    let goes = ev
+        .iter()
+        .filter(|(_, e)| matches!(e, TraceEvent::GoReceived { .. }))
+        .count();
+    (stops, goes)
 }
 
 fn deliveries(net: &Network) -> Vec<(u64, u32, u64)> {
@@ -195,4 +313,103 @@ fn stop_heavy_run_keeps_stats_identical() {
     sb.events_fired = 0;
     assert_eq!(format!("{sa:?}"), format!("{sb:?}"), "stats diverged");
     assert_eq!(deliveries(&per_byte), deliveries(&spans));
+}
+
+/// One long worm streams down a line of five switches. Its head sets up
+/// the path hop by hop, so the first span out of the source is sized by
+/// how far the head has got; once the head reaches the destination
+/// adapter, the rest of the body rides the whole path as one span. Every
+/// hop therefore carries the body in at most two spans, not in
+/// slack-sized pieces, and the run stays byte-exact.
+#[test]
+fn path_span_crosses_each_hop_whole() {
+    for delay in [1u64, 3] {
+        let label = format!("line5 delay {delay}");
+        let mut per_byte = line_net(5, delay, SimMode::PerByte, TraceConfig::Memory);
+        let mut spans = line_net(5, delay, SimMode::SpanBatched, TraceConfig::Memory);
+        for net in [&mut per_byte, &mut spans] {
+            send_one(net, 0, 4, 10, 2_000);
+        }
+        assert_lockstep(&mut per_byte, &mut spans, 3_000, &label);
+        assert_eq!(deliveries(&spans).len(), 1, "{label}: the worm arrives");
+        let emitted = spans_of(&spans, false);
+        let mut hops: Vec<u32> = emitted.iter().map(|&(ch, _)| ch).collect();
+        hops.sort_unstable();
+        hops.dedup();
+        // Host link in, four switch links, host link out.
+        assert_eq!(hops.len(), 6, "{label}: spans on {hops:?}");
+        for ch in hops {
+            let on_hop: Vec<u64> = emitted
+                .iter()
+                .filter(|&&(c, _)| c == ch)
+                .map(|&(_, len)| len)
+                .collect();
+            assert!(
+                on_hop.len() <= 2,
+                "{label}: channel {ch} carried the body in {} spans {on_hop:?}",
+                on_hop.len()
+            );
+        }
+    }
+}
+
+/// The worm's path ends at an input whose output another worm holds:
+/// host 3's long worm owns sw3's right output, so the worm from host 0
+/// blocks at sw3. Spans sized by the path room pile bytes into that input
+/// without crossing its stop mark; the per-byte arrivals that follow must
+/// raise STOP there, back the STOP up the line, and release it with GO
+/// when the blocker's tail passes — all at the per-byte times.
+#[test]
+fn path_ending_at_a_blocked_input_stops_and_goes_per_byte() {
+    for delay in [1u64, 3, 8] {
+        let label = format!("blocked line5 delay {delay}");
+        let mut per_byte = line_net(5, delay, SimMode::PerByte, TraceConfig::Memory);
+        let mut spans = line_net(5, delay, SimMode::SpanBatched, TraceConfig::Memory);
+        for net in [&mut per_byte, &mut spans] {
+            send_one(net, 3, 4, 10, 1_500);
+            send_one(net, 0, 4, 12, 1_000);
+        }
+        assert_lockstep(&mut per_byte, &mut spans, 4_000, &label);
+        assert_eq!(deliveries(&spans).len(), 2, "{label}: both worms arrive");
+        let (stops, goes) = stops_and_goes(&per_byte);
+        assert!(stops > 0 && goes > 0, "{label}: no STOP/GO raised ({stops}/{goes})");
+        assert_eq!(stops_and_goes(&spans), (stops, goes), "{label}: STOP/GO counts");
+        assert!(
+            spans_of(&spans, false).iter().any(|&(_, len)| len > 8),
+            "{label}: no span exceeded one hop's slack — path room never engaged"
+        );
+    }
+}
+
+/// A cut-through follower re-sends a worm that reaches its adapter
+/// through a path span: host 2 relays host 0's worm to host 4 in
+/// lockstep with reception. The span credits the whole run to the
+/// relay's reception count at once; the follower, paced at one byte per
+/// byte-time, must still leave at exactly the per-byte send slots.
+#[test]
+fn cut_through_follower_resends_a_path_span_arrival() {
+    for delay in [1u64, 3] {
+        let label = format!("relay line5 delay {delay}");
+        let mk = |mode, trace| {
+            let mut net = line_net(5, delay, mode, trace);
+            net.set_protocol(HostId(2), Box::new(Relay { next: HostId(4) }));
+            send_one(&mut net, 0, 2, 10, 2_000);
+            net
+        };
+        let mut per_byte = mk(SimMode::PerByte, TraceConfig::Memory);
+        let mut spans = mk(SimMode::SpanBatched, TraceConfig::Memory);
+        assert_lockstep(&mut per_byte, &mut spans, 4_000, &label);
+        let got = deliveries(&spans);
+        assert_eq!(got.len(), 2, "{label}: the relay and the final host deliver");
+        let (relay, last) = (got[0].2.min(got[1].2), got[0].2.max(got[1].2));
+        assert!(
+            last - relay < 100,
+            "{label}: the copy trailed the original by {} byte-times — not cut-through",
+            last - relay
+        );
+        assert!(
+            spans_of(&spans, true).iter().any(|&(_, len)| len > 500),
+            "{label}: the original never arrived through a path span"
+        );
+    }
 }

@@ -14,17 +14,22 @@
 //! per-byte trace byte-for-byte (DESIGN.md §3.2).
 
 use proptest::prelude::*;
+use wormcast::sim::engine::HostId;
 use wormcast::sim::network::{NetStats, SimMode};
 use wormcast::sim::trace::TraceConfig;
+use wormcast::sim::FaultConfig;
 use wormcast::topo::irregular::{irregular, IrregularSpec};
 use wormcast::topo::shufflenet::shufflenet24;
 use wormcast::topo::torus::torus;
+use wormcast::topo::tree::TreeShape;
 use wormcast::topo::{TopoBuilder, Topology};
 use wormcast_bench::fig10::figure_tree_scheme;
 use wormcast_bench::runner::{build_network, SimSetup};
 use wormcast_bench::trace_io::{expand_spans, validate_jsonl};
 use wormcast_bench::Scheme;
-use wormcast_core::HcConfig;
+use wormcast_core::{
+    AckNackConfig, HcConfig, PoolConfig, Reliability, TreeConfig, TreeMode, UnicastRepeatConfig,
+};
 use wormcast_traffic::rng::host_stream;
 use wormcast_traffic::workload::PaperWorkload;
 use wormcast_traffic::{GroupSet, LengthDist};
@@ -75,10 +80,10 @@ fn assert_stats_eq(mut a: NetStats, mut b: NetStats, label: &str, what: &str) {
 /// attached: the span-batched trace carries extra `span-*` engine events,
 /// and erasing them with the per-byte expander must reproduce the
 /// per-byte JSONL byte-for-byte. Tracing itself must be a pure observer:
-/// the traced and untraced runs must agree too. Returns the per-byte and
-/// span-batched scheduled-event counts of the untraced pair for callers
-/// that assert on cost.
-fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
+/// the traced and untraced runs must agree too. Returns the statistics of
+/// the untraced per-byte run and the span-batched scheduled-event count,
+/// for callers that assert on cost or on what the run exercised.
+fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (NetStats, u64) {
     let (d_ref, s_ref, j_ref) = observe(mk(), SimMode::PerByte, TraceConfig::Memory);
     let (d_span, s_span, j_span) = observe(mk(), SimMode::SpanBatched, TraceConfig::Memory);
     assert_eq!(
@@ -115,9 +120,9 @@ fn assert_equivalent(mk: impl Fn() -> SimSetup, label: &str) -> (u64, u64) {
         d_ref, d_off_ref,
         "{label}: attaching a trace sink changed the delivery records"
     );
-    let (e_ref, e_span) = (s_off_ref.events_scheduled, s_off_span.events_scheduled);
-    assert_stats_eq(s_off_ref, s_off_span, label, "untraced");
-    (e_ref, e_span)
+    let e_span = s_off_span.events_scheduled;
+    assert_stats_eq(s_off_ref.clone(), s_off_span, label, "untraced");
+    (s_off_ref, e_span)
 }
 
 /// The first differing line of two JSONL streams, for a readable failure.
@@ -161,7 +166,8 @@ fn torus_modes_agree_and_spans_win() {
             let groups = GroupSet::random(64, 10, 10, &mut grng);
             setup_on(torus(8, 1), groups, scheme, 0.06, 0x5EED0).windows(5_000, 25_000, 15_000)
         };
-        let (e_ref, e_span) = assert_equivalent(mk, "torus8");
+        let (stats, e_span) = assert_equivalent(mk, "torus8");
+        let e_ref = stats.events_scheduled;
         assert!(
             e_span * 3 < e_ref,
             "span batching too weak on the torus: {e_ref} -> {e_span}"
@@ -195,6 +201,117 @@ fn torus_lanes2_traced_modes_agree() {
         s
     };
     assert_equivalent(mk, "torus8-lanes2");
+}
+
+/// A shorter Fig 10 torus point for the configurations below: the
+/// baselines, the finite-buffer reliability modes, corruption faults and
+/// two lanes. `tweak` adjusts the setup (faults, lanes) after building.
+fn torus_point(scheme: Scheme, seed: u64, tweak: impl Fn(&mut SimSetup)) -> SimSetup {
+    let mut grng = host_stream(seed, 0x6071);
+    let groups = GroupSet::random(64, 10, 10, &mut grng);
+    let mut s = setup_on(torus(8, 1), groups, scheme, 0.06, seed).windows(3_000, 12_000, 12_000);
+    tweak(&mut s);
+    s
+}
+
+/// Small two-class pools (one or two mean-length worms each) so admission refusals, and
+/// with ACK/NACK the retransmissions they trigger, actually happen.
+const SMALL_POOL: PoolConfig = PoolConfig {
+    class1: 600,
+    class2: 600,
+    dma_extension: 0,
+};
+
+fn acknack() -> Reliability {
+    Reliability::AckNack(AckNackConfig {
+        pool: SMALL_POOL,
+        single_class: false,
+        retry_timeout: 4_000,
+        retry_jitter: 2_000,
+        max_retries: 20,
+    })
+}
+
+fn corrupt_5pct(s: &mut SimSetup) {
+    s.faults = FaultConfig::try_new(0.05).expect("valid probability");
+}
+
+#[test]
+fn torus_repeat_baseline_modes_agree() {
+    let mk = || torus_point(Scheme::Repeat(UnicastRepeatConfig::default()), 0x5EED3, |_| {});
+    let (stats, _) = assert_equivalent(mk, "torus8-repeat");
+    assert!(stats.worms_delivered > 0, "repeat baseline delivered nothing");
+}
+
+#[test]
+fn torus_credit_baseline_modes_agree() {
+    let mk = || {
+        let scheme = Scheme::Credit {
+            manager: HostId(0),
+            initial_credits: 120_000,
+            token_period: 3_000,
+            shape: TreeShape::BinaryHeap,
+        };
+        torus_point(scheme, 0x5EED4, |_| {})
+    };
+    let (stats, _) = assert_equivalent(mk, "torus8-credit");
+    assert!(stats.worms_delivered > 0, "credit baseline delivered nothing");
+}
+
+#[test]
+fn torus_acknack_modes_agree() {
+    let mk = || {
+        let mut hc = HcConfig::cut_through();
+        hc.reliability = acknack();
+        torus_point(Scheme::Hc(hc), 0x5EED5, |_| {})
+    };
+    let (stats, _) = assert_equivalent(mk, "torus8-acknack");
+    assert!(stats.worms_refused > 0, "no admission refusal: NACKs never exercised");
+}
+
+#[test]
+fn torus_finite_drop_modes_agree() {
+    let mk = || {
+        let tree = TreeConfig {
+            mode: TreeMode::BroadcastFromOrigin,
+            cut_through_first: true,
+            reliability: Reliability::FiniteDrop {
+                pool: SMALL_POOL,
+                single_class: false,
+            },
+        };
+        torus_point(Scheme::Tree(tree, TreeShape::GreedyHop), 0x5EED6, |_| {})
+    };
+    let (stats, _) = assert_equivalent(mk, "torus8-finite-drop");
+    assert!(stats.worms_refused > 0, "no admission refusal: drops never exercised");
+}
+
+#[test]
+fn torus_corruption_faults_modes_agree() {
+    let mk = || {
+        let mut hc = HcConfig::store_and_forward();
+        hc.reliability = acknack();
+        torus_point(Scheme::Hc(hc), 0x5EED8, corrupt_5pct)
+    };
+    let (stats, _) = assert_equivalent(mk, "torus8-corrupt5");
+    assert!(stats.worms_corrupt > 0, "no worm was corrupted");
+}
+
+#[test]
+fn torus_lanes2_acknack_corruption_modes_agree() {
+    let mk = || {
+        let tree = TreeConfig {
+            mode: TreeMode::BroadcastFromOrigin,
+            cut_through_first: true,
+            reliability: acknack(),
+        };
+        torus_point(Scheme::Tree(tree, TreeShape::GreedyHop), 0x5EED9, |s| {
+            corrupt_5pct(s);
+            s.lanes = 2;
+        })
+    };
+    let (stats, _) = assert_equivalent(mk, "torus8-lanes2-acknack-corrupt5");
+    assert!(stats.worms_corrupt > 0, "no worm was corrupted");
 }
 
 #[test]
