@@ -194,9 +194,8 @@ fn adversarial_round_robin_plan_still_matches() {
 
 /// Multi-lane boundary channels: with two virtual lanes per link, every
 /// cut channel is two independent byte streams, each lane carrying its own
-/// optimistic spans with its own mirror-truncation cutoff and NACK/credit
-/// optimism state. Both shard counts must stay byte-identical to the
-/// sequential two-lane run.
+/// optimistic spans with its own mirror-truncation cutoff. Both shard
+/// counts must stay byte-identical to the sequential two-lane run.
 #[test]
 fn torus_lanes2_matches_sharded() {
     let mut seq = setup_on(
@@ -222,7 +221,7 @@ fn torus_lanes2_matches_sharded() {
 /// (switch-hash on `x + y` rather than the raw index) puts **every**
 /// switch-to-switch link in the cut, so no worm ever advances a byte
 /// without crossing a shard boundary — every hot link exercises the
-/// optimistic-span / receive-side-truncation / credit-return protocol.
+/// optimistic-span / receive-side-truncation protocol.
 /// Both engine modes must still match sequential byte for byte.
 #[test]
 fn adversarial_checkerboard_all_links_cut_still_matches() {

@@ -71,6 +71,21 @@ impl Membership {
     }
 }
 
+/// The circuit successor of `h` among sorted `members` (ascending IDs,
+/// wrapping). A non-member (an originator outside the group) enters the
+/// circuit at the first member with a higher ID, wrapping. `None` for an
+/// empty group.
+pub(crate) fn circuit_successor(members: &[HostId], h: HostId) -> Option<HostId> {
+    if members.is_empty() {
+        return None;
+    }
+    let ix = match members.binary_search(&h) {
+        Ok(ix) => ix + 1,
+        Err(ix) => ix,
+    };
+    Some(members[ix % members.len()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

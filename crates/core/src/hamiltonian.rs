@@ -22,7 +22,8 @@
 //! * **reliability** — [`Reliability::AckNack`] enables the finite-buffer
 //!   implicit-reservation machinery.
 
-use crate::group::Membership;
+use crate::group::{circuit_successor, Membership};
+use crate::ordering::InOrderDelivery;
 use crate::reliable::{Reliability, ReliableFwd};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -83,14 +84,8 @@ pub struct HcProtocol {
     /// Worms already forwarded at header time (cut-through), so the
     /// receive-complete handler does not forward them again.
     forwarded_at_header: HashSet<WormId>,
-    /// Serialized mode: next sequence number to deliver, per group.
-    /// Retransmissions can overtake each other on the circuit, so local
-    /// delivery holds out-of-order arrivals until the gap closes.
-    next_deliver: std::collections::HashMap<u8, u32>,
-    /// Out-of-order arrivals awaiting delivery: seq -> message (None for
-    /// our own message coming around, which advances the cursor without a
-    /// local delivery).
-    pending_deliver: std::collections::HashMap<u8, std::collections::BTreeMap<u32, Option<wormcast_sim::worm::MessageId>>>,
+    /// Serialized mode: local delivery in sequence order.
+    in_order: InOrderDelivery,
     /// Confirmations observed (return-to-origin mode).
     pub confirmed: u64,
 }
@@ -104,53 +99,8 @@ impl HcProtocol {
             fwd: ReliableFwd::new(cfg.reliability),
             seq: std::collections::HashMap::new(),
             forwarded_at_header: HashSet::new(),
-            next_deliver: std::collections::HashMap::new(),
-            pending_deliver: std::collections::HashMap::new(),
+            in_order: InOrderDelivery::default(),
             confirmed: 0,
-        }
-    }
-
-    /// Deliver respecting the serializer's sequence numbers (total
-    /// ordering survives retransmission reordering). Unserialized worms
-    /// (seq 0) deliver immediately.
-    fn deliver_in_order(
-        &mut self,
-        ctx: &mut ProtocolCtx,
-        group: u8,
-        seq: u32,
-        msg: Option<wormcast_sim::worm::MessageId>,
-    ) {
-        if seq == 0 {
-            if let Some(m) = msg {
-                ctx.deliver_local(m);
-            }
-            return;
-        }
-        let next = self.next_deliver.entry(group).or_insert(1);
-        if seq < *next {
-            return; // stale duplicate
-        }
-        let pending = self.pending_deliver.entry(group).or_default();
-        pending.insert(seq, msg);
-        while let Some(entry) = pending.remove(&*next) {
-            if let Some(m) = entry {
-                ctx.deliver_local(m);
-            }
-            *next += 1;
-        }
-    }
-
-    /// The circuit successor of `h` in `group` (ascending IDs, wrapping).
-    fn successor(&self, group: u8, h: HostId) -> Option<HostId> {
-        let members = self.groups.members(group);
-        if members.is_empty() {
-            return None;
-        }
-        match members.binary_search(&h) {
-            Ok(ix) => Some(members[(ix + 1) % members.len()]),
-            // Non-members (an originator outside the group) enter the
-            // circuit at the first member with a higher ID, wrapping.
-            Err(ix) => Some(members[ix % members.len()]),
         }
     }
 
@@ -208,7 +158,8 @@ impl HcProtocol {
         if hops == 0 {
             return;
         }
-        let succ = self.successor(group, self.host).expect("non-empty group");
+        let succ =
+            circuit_successor(self.groups.members(group), self.host).expect("non-empty group");
         if succ == self.host {
             return; // singleton group
         }
@@ -224,7 +175,7 @@ impl HcProtocol {
         if worm.meta.hops_left <= 1 {
             return None;
         }
-        let succ = self.successor(group, self.host)?;
+        let succ = circuit_successor(self.groups.members(group), self.host)?;
         if succ == self.host {
             return None;
         }
@@ -244,10 +195,10 @@ impl HcProtocol {
         // Deliver locally unless this is the origin's own message coming
         // back around (which still advances the sequence cursor).
         if worm.meta.origin != self.host {
-            self.deliver_in_order(ctx, group, worm.meta.seq, Some(worm.meta.msg));
+            self.in_order.deliver(ctx, group, worm.meta.seq, Some(worm.meta.msg));
         } else {
             self.confirmed += 1;
-            self.deliver_in_order(ctx, group, worm.meta.seq, None);
+            self.in_order.deliver(ctx, group, worm.meta.seq, None);
         }
         if !self.forwarded_at_header.remove(&worm.id) {
             if let Some(spec) = self.forward_spec(worm, group) {
@@ -282,7 +233,7 @@ impl HcProtocol {
             self.fwd.done_receiving(worm.meta.msg);
             return;
         }
-        if let Some(succ) = self.successor(group, self.host) {
+        if let Some(succ) = circuit_successor(self.groups.members(group), self.host) {
             if succ != self.host {
                 let mut spec = SendSpec::forward(worm, succ);
                 spec.stage = 0;
@@ -433,12 +384,14 @@ mod tests {
 
     #[test]
     fn successor_follows_ascending_ids() {
-        let p = HcProtocol::new(HostId(3), HcConfig::store_and_forward(), groups());
-        assert_eq!(p.successor(0, HostId(3)), Some(HostId(5)));
-        assert_eq!(p.successor(0, HostId(7)), Some(HostId(1))); // wrap
+        let g = groups();
+        let m = g.members(0);
+        assert_eq!(circuit_successor(m, HostId(3)), Some(HostId(5)));
+        assert_eq!(circuit_successor(m, HostId(7)), Some(HostId(1))); // wrap
         // Non-member origin enters at the next higher member.
-        assert_eq!(p.successor(0, HostId(4)), Some(HostId(5)));
-        assert_eq!(p.successor(0, HostId(8)), Some(HostId(1)));
+        assert_eq!(circuit_successor(m, HostId(4)), Some(HostId(5)));
+        assert_eq!(circuit_successor(m, HostId(8)), Some(HostId(1)));
+        assert_eq!(circuit_successor(&[], HostId(8)), None);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! `seq` = version, `frag_index` = join/leave). A production LANai
 //! program would place them in the first payload bytes.
 
-use crate::group::BROADCAST_GROUP;
+use crate::group::{circuit_successor, BROADCAST_GROUP};
 use std::collections::{BTreeMap, HashMap};
 use wormcast_sim::engine::HostId;
 use wormcast_sim::protocol::{
@@ -129,17 +129,6 @@ impl ManagedHcProtocol {
         self.local.get(&group).map_or(&[], |g| g.members.as_slice())
     }
 
-    fn successor(&self, group: u8, h: HostId) -> Option<HostId> {
-        let members = self.members(group);
-        if members.is_empty() {
-            return None;
-        }
-        Some(match members.binary_search(&h) {
-            Ok(ix) => members[(ix + 1) % members.len()],
-            Err(ix) => members[ix % members.len()],
-        })
-    }
-
     /// Manager side: apply an op, bump the version, disseminate.
     fn manage(&mut self, ctx: &mut ProtocolCtx, group: u8, subject: HostId, joined: bool) {
         debug_assert_eq!(self.host, self.manager);
@@ -212,7 +201,7 @@ impl AdapterProtocol for ManagedHcProtocol {
                 if receivers == 0 {
                     return;
                 }
-                let Some(succ) = self.successor(group, self.host) else {
+                let Some(succ) = circuit_successor(self.members(group), self.host) else {
                     return;
                 };
                 if succ == self.host {
@@ -234,7 +223,7 @@ impl AdapterProtocol for ManagedHcProtocol {
                     ctx.deliver_local(worm.meta.msg);
                 }
                 if worm.meta.hops_left > 1 {
-                    if let Some(succ) = self.successor(group, self.host) {
+                    if let Some(succ) = circuit_successor(self.members(group), self.host) {
                         if succ != self.host {
                             let mut spec = SendSpec::forward(worm, succ);
                             spec.hops_left = worm.meta.hops_left - 1;

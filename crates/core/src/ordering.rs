@@ -1,16 +1,63 @@
-//! Total-order verification.
+//! Total ordering: delivery and verification.
 //!
 //! Several of the paper's schemes claim **total ordering**: all members of
-//! a group receive the group's messages in the same order. This module
-//! checks that claim against a run's delivery log: for every pair of
+//! a group receive the group's messages in the same order. The serialized
+//! schemes stamp each multicast with a per-group sequence number, and
+//! `InOrderDelivery` delivers locally in that order. This module also
+//! checks the claim against a run's delivery log: for every pair of
 //! members, the messages they both received must appear in the same
 //! relative order.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use wormcast_sim::engine::HostId;
 use wormcast_sim::network::MessageLog;
-use wormcast_sim::protocol::Destination;
+use wormcast_sim::protocol::{Destination, ProtocolCtx};
 use wormcast_sim::worm::MessageId;
+
+/// Receiver-side, sequence-ordered local delivery, held by the
+/// Hamiltonian and tree protocols. Retransmissions can overtake each other,
+/// so out-of-order arrivals wait until the gap before them closes.
+#[derive(Debug, Default)]
+pub(crate) struct InOrderDelivery {
+    /// Next sequence number to deliver, per group.
+    next: HashMap<u8, u32>,
+    /// Out-of-order arrivals awaiting delivery: seq -> message (`None` for
+    /// the host's own message coming around, which advances the cursor
+    /// without a local delivery).
+    pending: HashMap<u8, BTreeMap<u32, Option<MessageId>>>,
+}
+
+impl InOrderDelivery {
+    /// Deliver `msg` respecting the serializer's sequence numbers.
+    /// Unserialized worms (seq 0) deliver immediately; stale duplicates
+    /// are dropped.
+    pub(crate) fn deliver(
+        &mut self,
+        ctx: &mut ProtocolCtx,
+        group: u8,
+        seq: u32,
+        msg: Option<MessageId>,
+    ) {
+        if seq == 0 {
+            if let Some(m) = msg {
+                ctx.deliver_local(m);
+            }
+            return;
+        }
+        let next = self.next.entry(group).or_insert(1);
+        if seq < *next {
+            return;
+        }
+        let pending = self.pending.entry(group).or_default();
+        pending.insert(seq, msg);
+        while let Some(entry) = pending.remove(&*next) {
+            if let Some(m) = entry {
+                ctx.deliver_local(m);
+            }
+            *next += 1;
+        }
+    }
+}
 
 /// A detected ordering violation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

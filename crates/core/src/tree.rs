@@ -22,6 +22,7 @@
 //! first copy streams in lockstep with reception and the rest follow from
 //! the reassembled buffer — exactly the behaviour the paper describes.
 
+use crate::ordering::InOrderDelivery;
 use crate::reliable::{Reliability, ReliableFwd};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -76,10 +77,9 @@ pub struct TreeProtocol {
     fwd: ReliableFwd,
     /// Root-side per-group sequence numbers (RootSerialized).
     seq: HashMap<u8, u32>,
-    /// Receiver-side sequence cursors and reorder buffers (RootSerialized
-    /// total ordering survives retransmission reordering).
-    next_deliver: HashMap<u8, u32>,
-    pending_deliver: HashMap<u8, std::collections::BTreeMap<u32, Option<wormcast_sim::worm::MessageId>>>,
+    /// Receiver-side sequence-ordered delivery (RootSerialized total
+    /// ordering survives retransmission reordering).
+    in_order: InOrderDelivery,
     /// Worms whose first-child copy was already issued at header time.
     forwarded_at_header: HashSet<WormId>,
 }
@@ -96,37 +96,8 @@ impl TreeProtocol {
             trees,
             fwd: ReliableFwd::new(cfg.reliability),
             seq: HashMap::new(),
-            next_deliver: HashMap::new(),
-            pending_deliver: HashMap::new(),
+            in_order: InOrderDelivery::default(),
             forwarded_at_header: HashSet::new(),
-        }
-    }
-
-    /// Sequence-ordered local delivery (see the Hamiltonian twin).
-    fn deliver_in_order(
-        &mut self,
-        ctx: &mut ProtocolCtx,
-        group: u8,
-        seq: u32,
-        msg: Option<wormcast_sim::worm::MessageId>,
-    ) {
-        if seq == 0 {
-            if let Some(m) = msg {
-                ctx.deliver_local(m);
-            }
-            return;
-        }
-        let next = self.next_deliver.entry(group).or_insert(1);
-        if seq < *next {
-            return;
-        }
-        let pending = self.pending_deliver.entry(group).or_default();
-        pending.insert(seq, msg);
-        while let Some(entry) = pending.remove(&*next) {
-            if let Some(m) = entry {
-                ctx.deliver_local(m);
-            }
-            *next += 1;
         }
     }
 
@@ -260,9 +231,9 @@ impl TreeProtocol {
             }
             (TreeMode::RootSerialized, _) => {
                 if worm.meta.origin != self.host {
-                    self.deliver_in_order(ctx, group, worm.meta.seq, Some(worm.meta.msg));
+                    self.in_order.deliver(ctx, group, worm.meta.seq, Some(worm.meta.msg));
                 } else {
-                    self.deliver_in_order(ctx, group, worm.meta.seq, None);
+                    self.in_order.deliver(ctx, group, worm.meta.seq, None);
                 }
                 let skip_first = self.forwarded_at_header.remove(&worm.id);
                 for spec in self.descend_specs(worm, group, skip_first) {

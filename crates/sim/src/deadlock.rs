@@ -288,12 +288,6 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
     edges
 }
 
-/// Build the wait-for graph of the current network state (the adjacency
-/// view of [`wait_edges`]).
-pub fn wait_graph(net: &Network) -> HashMap<WaitNode, Vec<WaitNode>> {
-    graph_from_edges(&wait_edges(net))
-}
-
 /// Collapse an edge list into the adjacency map [`find_cycle`] consumes.
 pub fn graph_from_edges(edges: &[WaitEdge]) -> HashMap<WaitNode, Vec<WaitNode>> {
     let mut g: HashMap<WaitNode, Vec<WaitNode>> = HashMap::new();

@@ -19,23 +19,11 @@ pub struct SwitchId(pub u32);
 /// `Stop`/`Go` implement the backpressure protocol of the paper's Figure 1.
 /// `BackwardReset` is the Myrinet `BRES` symbol, used by the switch-level
 /// "multicast-IDLE flush" scheme to evict a blocked unicast worm.
-///
-/// `SpanNack`/`SpanCredit` are engine-internal symbols of the sharded
-/// span protocol (DESIGN.md §3.4): the receive-side owner of a cut link
-/// rejects an optimistic span into congestion with `SpanNack` (the sender
-/// falls back to per-byte emission) and restores the sender's optimism
-/// with `SpanCredit` once the slack buffer drains. They carry no worm
-/// semantics — both sides' byte streams are identical either way — so
-/// they never appear on intra-shard channels; traced span-batched runs
-/// record them as `span-nack`/`span-credit` engine events, which the
-/// per-byte expander (`wormcast_bench::trace_io::expand_spans`) erases.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CtrlSym {
     Stop,
     Go,
     BackwardReset,
-    SpanNack,
-    SpanCredit,
 }
 
 /// Every event the simulator processes.

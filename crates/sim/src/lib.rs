@@ -64,7 +64,7 @@ pub mod prelude {
     pub use crate::fault::FaultConfig;
     pub use crate::link::{
         ChanId, Lane, LaneArbiter, LaneArbiterKind, LaneCandidate, LeastOccupied, Link,
-        LinkId, LinkStats, NodeRef, PortId, RxPort, SeededRoundRobin, SpanInFlight, TxPort,
+        LinkId, LinkStats, NodeRef, PortId, SeededRoundRobin, SpanInFlight,
     };
     pub use crate::network::{
         FabricSpec, HostAttach, LinkSpec, NetStats, Network, NetworkConfig, RouteTable,

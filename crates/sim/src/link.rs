@@ -20,10 +20,10 @@
 //! [`Lane`] exposes **no public mutable fields**. Switch, adapter and
 //! engine code goes through a ready/valid-style surface:
 //!
-//! - [`TxPort::try_send`] / [`TxPort::ready_at`] — put a byte (or a span)
-//!   on the wire, respecting pacing and STOP;
-//! - [`RxPort::deliver`] / [`RxPort::deliver_span`] — take an arrival off
-//!   the wire;
+//! - `Lane::try_send` — put a byte (or a span) on the wire, respecting
+//!   pacing and STOP (crate-internal);
+//! - `Lane::deliver` / `Lane::deliver_span` — take an arrival off the wire
+//!   (crate-internal);
 //! - [`Lane::stop`] / [`Lane::go`] — flow-control state changes (with
 //!   stall-interval accounting built in).
 //!
@@ -129,8 +129,9 @@ pub struct LinkStats {
 
 /// Transmit-side state of one directed lane.
 ///
-/// All fields are private: mutation goes through [`TxPort`] / [`RxPort`] /
-/// [`Lane::stop`] / [`Lane::go`], reads through the accessors below.
+/// All fields are private: mutation goes through `try_send` / `deliver` /
+/// `deliver_span` / [`Lane::stop`] / [`Lane::go`], reads through the
+/// accessors below.
 #[derive(Clone, Debug)]
 pub struct Lane {
     id: ChanId,
@@ -170,9 +171,6 @@ pub struct Lane {
     /// Kick generation: bumped when a STOP truncates an in-flight span so
     /// the span chain's already-scheduled end-of-span `TxKick` is ignored.
     kick_gen: u32,
-    /// Transmit-side owner of a cut lane only: whether optimistic spans may
-    /// go out (cleared by a `SpanNack`, restored by `SpanCredit`/`GO`).
-    span_optimism: bool,
     /// Receive-side owner of a cut lane only: the send-slot cutoff implied
     /// by the newest STOP this side emitted — a span's bytes at slots
     /// `>= cutoff` were revoked at the (foreign) transmitter. 0 = never
@@ -181,9 +179,6 @@ pub struct Lane {
     /// Receive-side owner of a cut lane only: rejected optimistic spans
     /// being re-expanded into their per-byte arrival stream, in wire order.
     foreign_runs: VecDeque<ForeignRun>,
-    /// Receive-side owner of a cut lane only: a `SpanNack` is in force and
-    /// the matching `SpanCredit` has not been sent yet.
-    nack_sent: bool,
 }
 
 /// A rejected cross-shard span being expanded back into per-byte arrivals
@@ -235,10 +230,8 @@ impl Lane {
             // of outstanding spans at once).
             spans: VecDeque::with_capacity(8),
             kick_gen: 0,
-            span_optimism: true,
             foreign_stop_cutoff: 0,
             foreign_runs: VecDeque::new(),
-            nack_sent: false,
         }
     }
 
@@ -370,6 +363,80 @@ impl Lane {
         }
     }
 
+    // -- the wire -------------------------------------------------------------
+
+    /// Try to put `payload` on the wire at `now`. Fails (returns `None`)
+    /// when a STOP is in force or the lane is still pacing a previous byte.
+    /// On success the lane's occupancy, pacing and carried-byte counters are
+    /// updated; the caller schedules the arrival at `SendTicket::deliver_at`.
+    ///
+    /// `count_in_flight` is false only for cross-shard sends, where the
+    /// receive-side owner keeps the occupancy (see `shard.rs`).
+    pub(crate) fn try_send(
+        &mut self,
+        now: SimTime,
+        payload: TxPayload,
+        count_in_flight: bool,
+    ) -> Option<SendTicket> {
+        if self.stopped || now < self.next_tx_time {
+            return None;
+        }
+        match payload {
+            TxPayload::Data => {
+                if count_in_flight {
+                    self.in_flight += 1;
+                }
+                self.bytes_carried += 1;
+                self.next_tx_time = now + 1;
+            }
+            TxPayload::Idle => {
+                if count_in_flight {
+                    self.in_flight += 1;
+                }
+                self.idles_carried += 1;
+                self.next_tx_time = now + 1;
+            }
+            TxPayload::Span { worm, len } => {
+                // Spans cross shard boundaries with `count_in_flight` true:
+                // the transmit-side copy tracks wire occupancy until the
+                // end-of-transmission retirement event (network.rs).
+                self.in_flight += len as u32;
+                self.bytes_carried += len;
+                self.next_tx_time = now + len;
+                self.spans.push_back(SpanInFlight {
+                    worm,
+                    start: now,
+                    len,
+                });
+            }
+        }
+        Some(SendTicket {
+            deliver_at: now + self.delay,
+            gen: self.kick_gen,
+        })
+    }
+
+    /// One byte arrived: drop it from the wire occupancy and return where
+    /// it lands. `counted_in_flight` is false for bytes sent by a foreign
+    /// shard (they never incremented the local occupancy).
+    #[inline]
+    pub(crate) fn deliver(&mut self, counted_in_flight: bool) -> Endpoint {
+        if counted_in_flight {
+            self.in_flight -= 1;
+        }
+        self.dst
+    }
+
+    /// The oldest in-flight span arrived: dequeue it (spans and single
+    /// bytes share FIFO wire order) and return it together with the
+    /// landing endpoint.
+    #[inline]
+    pub(crate) fn deliver_span(&mut self) -> (Endpoint, SpanInFlight) {
+        let span = self.spans.pop_front().expect("RxSpan without queued span");
+        self.in_flight -= span.len as u32;
+        (self.dst, span)
+    }
+
     // -- crate-internal engine surface ---------------------------------------
 
     /// Reserve the pending-kick slot: returns the time and generation the
@@ -429,17 +496,6 @@ impl Lane {
     }
 
     // -- cross-shard span protocol (DESIGN.md §3.4) --------------------------
-
-    /// Transmit-side owner of a cut lane: may optimistic spans go out?
-    #[inline]
-    pub(crate) fn span_optimism(&self) -> bool {
-        self.span_optimism
-    }
-
-    #[inline]
-    pub(crate) fn set_span_optimism(&mut self, on: bool) {
-        self.span_optimism = on;
-    }
 
     /// Receive-side owner of a cut lane: an optimistic span arrived from
     /// the foreign transmitter. Queued in wire order (the mailbox is FIFO)
@@ -531,31 +587,21 @@ impl Lane {
                 .map(|r| r.end.saturating_sub(r.next))
                 .sum::<u64>()
     }
-
-    #[inline]
-    pub(crate) fn nack_pending(&self) -> bool {
-        self.nack_sent
-    }
-
-    #[inline]
-    pub(crate) fn set_nack_pending(&mut self, on: bool) {
-        self.nack_sent = on;
-    }
 }
 
-/// Confirmation of a successful [`TxPort::try_send`]: when the payload
+/// Confirmation of a successful `Lane::try_send`: when the payload
 /// lands and which kick generation a follow-up `TxKick` must carry.
 #[derive(Clone, Copy, Debug)]
-pub struct SendTicket {
+pub(crate) struct SendTicket {
     /// Arrival time at the receive side (`now + delay`).
     pub deliver_at: SimTime,
     /// Kick generation current at send time.
     pub gen: u32,
 }
 
-/// What a single [`TxPort::try_send`] puts on the wire.
+/// What a single `Lane::try_send` puts on the wire.
 #[derive(Clone, Copy, Debug)]
-pub enum TxPayload {
+pub(crate) enum TxPayload {
     /// One data byte.
     Data,
     /// One IDLE fill byte (counted as wasted bandwidth).
@@ -563,121 +609,6 @@ pub enum TxPayload {
     /// A contiguous run of `len` data bytes of `worm`, moved as one span
     /// (span-batched mode).
     Span { worm: WormId, len: u64 },
-}
-
-/// Transmit-side handle on a lane: the only way to put bytes on the wire.
-pub struct TxPort<'a> {
-    lane: &'a mut Lane,
-}
-
-impl<'a> TxPort<'a> {
-    #[inline]
-    pub(crate) fn new(lane: &'a mut Lane) -> Self {
-        TxPort { lane }
-    }
-
-    /// Earliest time the next byte may be put on the wire.
-    #[inline]
-    pub fn ready_at(&self) -> SimTime {
-        self.lane.next_tx_time
-    }
-
-    /// True while a STOP from downstream blocks this lane.
-    #[inline]
-    pub fn is_stopped(&self) -> bool {
-        self.lane.stopped
-    }
-
-    /// Try to put `payload` on the wire at `now`. Fails (returns `None`)
-    /// when a STOP is in force or the lane is still pacing a previous byte
-    /// (`now < ready_at`). On success the lane's occupancy, pacing and
-    /// carried-byte counters are updated; the caller schedules the arrival
-    /// at `SendTicket::deliver_at`.
-    ///
-    /// `count_in_flight` is false only for cross-shard sends, where the
-    /// receive-side owner keeps the occupancy (see `shard.rs`).
-    pub fn try_send(
-        &mut self,
-        now: SimTime,
-        payload: TxPayload,
-        count_in_flight: bool,
-    ) -> Option<SendTicket> {
-        let l = &mut *self.lane;
-        if l.stopped || now < l.next_tx_time {
-            return None;
-        }
-        match payload {
-            TxPayload::Data => {
-                if count_in_flight {
-                    l.in_flight += 1;
-                }
-                l.bytes_carried += 1;
-                l.next_tx_time = now + 1;
-            }
-            TxPayload::Idle => {
-                if count_in_flight {
-                    l.in_flight += 1;
-                }
-                l.idles_carried += 1;
-                l.next_tx_time = now + 1;
-            }
-            TxPayload::Span { worm, len } => {
-                // Spans cross shard boundaries with `count_in_flight` true:
-                // the transmit-side copy tracks wire occupancy until the
-                // end-of-transmission retirement event (network.rs).
-                l.in_flight += len as u32;
-                l.bytes_carried += len;
-                l.next_tx_time = now + len;
-                l.spans.push_back(SpanInFlight {
-                    worm,
-                    start: now,
-                    len,
-                });
-            }
-        }
-        Some(SendTicket {
-            deliver_at: now + l.delay,
-            gen: l.kick_gen,
-        })
-    }
-}
-
-/// Receive-side handle on a lane: the only way to take arrivals off the
-/// wire.
-pub struct RxPort<'a> {
-    lane: &'a mut Lane,
-}
-
-impl<'a> RxPort<'a> {
-    #[inline]
-    pub(crate) fn new(lane: &'a mut Lane) -> Self {
-        RxPort { lane }
-    }
-
-    /// One byte arrived: drop it from the wire occupancy and return where
-    /// it lands. `counted_in_flight` is false for bytes sent by a foreign
-    /// shard (they never incremented the local occupancy).
-    #[inline]
-    pub fn deliver(&mut self, counted_in_flight: bool) -> Endpoint {
-        if counted_in_flight {
-            self.lane.in_flight -= 1;
-        }
-        self.lane.dst
-    }
-
-    /// The oldest in-flight span arrived: dequeue it (spans and single
-    /// bytes share FIFO wire order) and return it together with the
-    /// landing endpoint.
-    #[inline]
-    pub fn deliver_span(&mut self) -> (Endpoint, SpanInFlight) {
-        let span = self
-            .lane
-            .spans
-            .pop_front()
-            .expect("RxSpan without queued span");
-        self.lane.in_flight -= span.len as u32;
-        (self.lane.dst, span)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -929,20 +860,14 @@ mod tests {
     #[test]
     fn try_send_counts_data_and_idle_separately() {
         let mut l = lane();
-        let t = TxPort::new(&mut l)
-            .try_send(5, TxPayload::Data, true)
-            .expect("lane free");
+        let t = l.try_send(5, TxPayload::Data, true).expect("lane free");
         assert_eq!(t.deliver_at, 6);
-        TxPort::new(&mut l)
-            .try_send(6, TxPayload::Idle, true)
-            .expect("lane free");
+        l.try_send(6, TxPayload::Idle, true).expect("lane free");
         let s = l.stats();
         assert_eq!((s.bytes_carried, s.idles_carried, s.in_flight), (1, 1, 2));
         // Pacing: a second byte in the same byte-time is refused.
-        assert!(TxPort::new(&mut l)
-            .try_send(6, TxPayload::Data, true)
-            .is_none());
-        assert_eq!(TxPort::new(&mut l).ready_at(), 7);
+        assert!(l.try_send(6, TxPayload::Data, true).is_none());
+        assert!(l.try_send(7, TxPayload::Data, true).is_some());
     }
 
     #[test]
@@ -950,30 +875,24 @@ mod tests {
         let mut a = lane();
         let mut b = Lane::new(ChanId(2), ep(0), ep(1), 1, ChanId(3), LinkId(0), 1);
         a.stop(10);
-        assert!(TxPort::new(&mut a)
-            .try_send(10, TxPayload::Data, true)
-            .is_none());
+        assert!(a.try_send(10, TxPayload::Data, true).is_none());
         // Per-lane STOP isolation: the sibling lane is unaffected.
-        assert!(TxPort::new(&mut b)
-            .try_send(10, TxPayload::Data, true)
-            .is_some());
+        assert!(b.try_send(10, TxPayload::Data, true).is_some());
         a.go(12);
-        assert!(TxPort::new(&mut a)
-            .try_send(12, TxPayload::Data, true)
-            .is_some());
+        assert!(a.try_send(12, TxPayload::Data, true).is_some());
     }
 
     #[test]
     fn span_send_and_deliver_roundtrip() {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 3, ChanId(1), LinkId(0), 0);
         let worm = WormId(7);
-        let t = TxPort::new(&mut l)
+        let t = l
             .try_send(10, TxPayload::Span { worm, len: 5 }, true)
             .expect("lane free");
         assert_eq!(t.deliver_at, 13);
         assert_eq!(l.in_flight(), 5);
-        assert_eq!(TxPort::new(&mut l).ready_at(), 15);
-        let (dst, span) = RxPort::new(&mut l).deliver_span();
+        assert!(l.try_send(14, TxPayload::Data, true).is_none());
+        let (dst, span) = l.deliver_span();
         assert_eq!(dst.port, PortId(1));
         assert_eq!((span.worm, span.start, span.len), (worm, 10, 5));
         assert_eq!(l.in_flight(), 0);
@@ -983,8 +902,7 @@ mod tests {
     fn truncation_revokes_unsent_span_bytes() {
         let mut l = Lane::new(ChanId(0), ep(0), ep(1), 2, ChanId(1), LinkId(0), 0);
         let worm = WormId(3);
-        TxPort::new(&mut l)
-            .try_send(10, TxPayload::Span { worm, len: 8 }, true)
+        l.try_send(10, TxPayload::Span { worm, len: 8 }, true)
             .expect("lane free");
         // STOP lands at t=13: bytes at slots 10..13 (3 of them) are out.
         let (w, revoked) = l.truncate_newest_span(13).expect("still sending");

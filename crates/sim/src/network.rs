@@ -5,8 +5,8 @@ use crate::config::ConfigError;
 use crate::deadlock::DeadlockReport;
 use crate::engine::{CtrlSym, Event, HostId, Scheduler, SwitchId};
 use crate::link::{
-    ChanId, Endpoint, ForeignRun, Lane, LaneArbiterKind, Link, LinkId, NodeRef, PortId, RxPort,
-    SpanInFlight, TxPayload, TxPort,
+    ChanId, Endpoint, ForeignRun, Lane, LaneArbiterKind, Link, LinkId, NodeRef, PortId,
+    SpanInFlight, TxPayload,
 };
 use crate::protocol::{
     Admission, AdapterProtocol, AppMessage, Command, Destination, ProtocolCtx, SendSpec,
@@ -566,7 +566,7 @@ impl Network {
     }
 
     /// Mutable access to a lane — flow control (`stop`/`go`) only; data
-    /// transfer goes through [`TxPort`]/[`RxPort`].
+    /// transfer stays inside the engine.
     pub fn lane_mut(&mut self, ch: ChanId) -> &mut Lane {
         &mut self.lanes[ch.0 as usize]
     }
@@ -1069,7 +1069,7 @@ impl Network {
                 } else {
                     TxPayload::Data
                 };
-                let ticket = TxPort::new(&mut self.lanes[ch.0 as usize])
+                let ticket = self.lanes[ch.0 as usize]
                     .try_send(now, payload, !dst_foreign)
                     .expect("armed kick fires at the lane's ready time");
                 if dst_foreign {
@@ -1103,13 +1103,8 @@ impl Network {
         // the receive-side occupancy needed for an exact admission check
         // lives over there, so the owner performs it on arrival — either
         // admitting the span whole or expanding it back into per-byte
-        // arrivals — and NACKs persistent congestion (DESIGN.md §3.4).
+        // arrivals (DESIGN.md §3.4).
         let dst_foreign = self.chan_dst_foreign(ch);
-        if dst_foreign && !self.lanes[ch.0 as usize].span_optimism() {
-            // A NACK is in force; stay per-byte until a credit or GO
-            // restores optimism.
-            return false;
-        }
         let (src, dst, wire) = {
             let c = &self.lanes[ch.0 as usize];
             (c.src(), c.dst(), c.in_flight() as u64)
@@ -1184,7 +1179,7 @@ impl Network {
         };
         // ...and move it as one span.
         let now = self.scheduler.now();
-        let ticket = TxPort::new(&mut self.lanes[ch.0 as usize])
+        let ticket = self.lanes[ch.0 as usize]
             .try_send(now, TxPayload::Span { worm, len: k }, true)
             .expect("span probe ran at the lane's ready time");
         if self.trace.enabled() {
@@ -1235,7 +1230,7 @@ impl Network {
             // retirement events pair up 1:1 in FIFO order, so the popped
             // lengths sum correctly even when truncations reordered the
             // nominal end-of-transmission times.
-            let _ = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
+            let _ = self.lanes[ch.0 as usize].deliver_span();
             return;
         }
         let src_foreign = self.chan_src_foreign(ch);
@@ -1255,7 +1250,7 @@ impl Network {
                 }
             }
         }
-        let (dst, span) = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver_span();
+        let (dst, span) = self.lanes[ch.0 as usize].deliver_span();
         if span.len == 0 {
             // Fully revoked by a STOP truncation (only the already-sent
             // remainder of a span survives; an empty one is just the
@@ -1302,8 +1297,7 @@ impl Network {
     /// wire bytes: everything on the wire IS this span). Otherwise expand
     /// the span back into the per-byte arrival stream it stood for (one
     /// [`Event::RxForeign`] per wire slot, at exactly the canonical
-    /// per-byte positions) and NACK the transmitter when the input is
-    /// genuinely congested. Returns whether the span was admitted.
+    /// per-byte positions). Returns whether the span was admitted.
     fn admit_foreign_span(&mut self, ch: ChanId, dst: Endpoint, span: &SpanInFlight) -> bool {
         let NodeRef::Switch(s) = dst.node else {
             unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
@@ -1324,15 +1318,6 @@ impl Network {
         // `now` fires the first expansion byte immediately after this
         // event — at its exact canonical arrival slot.
         self.scheduler.at(now, Event::RxForeign { ch });
-        let inp = &self.switches[s.0 as usize].inputs[dst.port.index()];
-        if inp.occupancy() > inp.slack.go_mark && !self.lanes[ch.0 as usize].nack_pending() {
-            // Congested beyond the GO threshold: further optimism is
-            // wasted mailbox traffic. (A rejection with a near-empty
-            // buffer — a STOP still in force during drain — clears on its
-            // own, so no NACK there.)
-            self.lanes[ch.0 as usize].set_nack_pending(true);
-            self.send_ctrl(ch, CtrlSym::SpanNack);
-        }
         false
     }
 
@@ -1433,7 +1418,7 @@ impl Network {
         // Bytes from a foreign transmit side never incremented the
         // local `in_flight` copy (see `handle_tx_kick`).
         let src_foreign = self.chan_src_foreign(ch);
-        let dst = RxPort::new(&mut self.lanes[ch.0 as usize]).deliver(!src_foreign);
+        let dst = self.lanes[ch.0 as usize].deliver(!src_foreign);
         self.stats.bytes_moved += 1;
         // Bytes of a flushed (Backward Reset) worm evaporate on arrival.
         if self.flushed_count > 0 && self.discard_if_flushed(&byte) {
@@ -1469,11 +1454,6 @@ impl Network {
                 let lane = {
                     let l = &mut self.lanes[ch.0 as usize];
                     l.go(now);
-                    // A GO means the receive-side slack drained below the
-                    // low watermark — on a cut lane that also restores
-                    // span optimism (the receiver cleared its NACK flag
-                    // when it emitted this GO).
-                    l.set_span_optimism(true);
                     l.lane_index()
                 };
                 if self.trace.enabled() {
@@ -1481,26 +1461,6 @@ impl Network {
                     self.pending_ctrl_trace.push((now, ch, false));
                 }
                 self.kick_channel(ch);
-            }
-            CtrlSym::SpanNack => {
-                // The receive-side owner of this cut lane rejected an
-                // optimistic span into congestion; stop shipping spans
-                // until a credit (or GO) arrives. Pure engine throttle:
-                // the rejected bytes still arrive per-byte-exactly.
-                let l = &mut self.lanes[ch.0 as usize];
-                l.set_span_optimism(false);
-                let lane = l.lane_index();
-                if self.trace.enabled() {
-                    self.trace.push(now, TraceEvent::SpanNack { ch, lane });
-                }
-            }
-            CtrlSym::SpanCredit => {
-                let l = &mut self.lanes[ch.0 as usize];
-                l.set_span_optimism(true);
-                let lane = l.lane_index();
-                if self.trace.enabled() {
-                    self.trace.push(now, TraceEvent::SpanCredit { ch, lane });
-                }
             }
             CtrlSym::BackwardReset => self.switchcast_backward_reset(ch),
         }
@@ -1591,50 +1551,46 @@ impl Network {
 
     // -- protocol dispatch ---------------------------------------------------
 
-    pub(crate) fn notify_generate(&mut self, host: HostId, msg: AppMessage) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
+    /// Run one protocol callback at `host`: take the host's protocol out,
+    /// hand it a [`ProtocolCtx`] and the worm slab, put it back and apply
+    /// the commands it issued. `None` when the host runs no protocol.
+    fn call_protocol<R>(
+        &mut self,
+        host: HostId,
+        call: impl FnOnce(&mut dyn AdapterProtocol, &mut ProtocolCtx, &[WormInstance]) -> R,
+    ) -> Option<R> {
+        let mut proto = self.protocols[host.0 as usize].take()?;
         let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let mut ctx = ProtocolCtx {
+        let out = call(
+            proto.as_mut(),
+            &mut ProtocolCtx {
                 now: self.scheduler.now(),
                 host,
                 tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
                 rng: &mut self.rngs[host.0 as usize],
                 commands: &mut cmds,
-            };
-            proto.on_generate(&mut ctx, msg);
-        }
+            },
+            &self.worms,
+        );
         self.protocols[host.0 as usize] = Some(proto);
         self.apply_commands(host, &mut cmds);
         self.cmd_scratch = cmds;
+        Some(out)
+    }
+
+    pub(crate) fn notify_generate(&mut self, host: HostId, msg: AppMessage) {
+        self.call_protocol(host, |p, ctx, _| p.on_generate(ctx, msg));
     }
 
     pub(crate) fn protocol_admission(&mut self, host: HostId, worm: WormId) -> Admission {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return Admission::Accept;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        let admission = {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_header(&mut ctx, inst)
-        };
-        self.protocols[host.0 as usize] = Some(proto);
+        let admission = self
+            .call_protocol(host, |p, ctx, worms| p.on_header(ctx, &worms[worm.0 as usize]))
+            .unwrap_or(Admission::Accept);
         if admission == Admission::Refuse && self.trace.enabled() {
             let worm = self.worm_name(worm);
             self.trace
                 .push(self.scheduler.now(), TraceEvent::WormRefused { worm, host });
         }
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
         admission
     }
 
@@ -1645,86 +1601,21 @@ impl Network {
             self.trace
                 .push(self.scheduler.now(), TraceEvent::WormReceived { worm, host });
         }
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_worm_received(&mut ctx, inst);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
+        self.call_protocol(host, |p, ctx, worms| {
+            p.on_worm_received(ctx, &worms[worm.0 as usize])
+        });
     }
 
     pub(crate) fn notify_tx_complete(&mut self, host: HostId, worm: WormId) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_tx_complete(&mut ctx, inst);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
+        self.call_protocol(host, |p, ctx, worms| p.on_tx_complete(ctx, &worms[worm.0 as usize]));
     }
 
     pub(crate) fn notify_flushed(&mut self, host: HostId, worm: WormId) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let inst = &self.worms[worm.0 as usize];
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_worm_flushed(&mut ctx, inst);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
+        self.call_protocol(host, |p, ctx, worms| p.on_worm_flushed(ctx, &worms[worm.0 as usize]));
     }
 
     pub(crate) fn notify_timer(&mut self, host: HostId, token: u64) {
-        let Some(mut proto) = self.protocols[host.0 as usize].take() else {
-            return;
-        };
-        let mut cmds = std::mem::take(&mut self.cmd_scratch);
-        {
-            let mut ctx = ProtocolCtx {
-                now: self.scheduler.now(),
-                host,
-                tx_backlog: self.adapters[host.0 as usize].tx_backlog(),
-                rng: &mut self.rngs[host.0 as usize],
-                commands: &mut cmds,
-            };
-            proto.on_timer(&mut ctx, token);
-        }
-        self.protocols[host.0 as usize] = Some(proto);
-        self.apply_commands(host, &mut cmds);
-        self.cmd_scratch = cmds;
+        self.call_protocol(host, |p, ctx, _| p.on_timer(ctx, token));
     }
 
     fn apply_commands(&mut self, host: HostId, cmds: &mut Vec<Command>) {

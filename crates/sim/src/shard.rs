@@ -15,8 +15,8 @@
 //!   shard truncates it against its own STOP watermarks on arrival and
 //!   either admits it whole or expands it back into the per-byte arrival
 //!   stream it stood for (DESIGN.md §3.4), and
-//! - a STOP/GO (or span credit/NACK) symbol emitted by a receive side
-//!   whose transmit side is foreign crosses as a `BoundaryMsg::Ctrl`.
+//! - a STOP/GO symbol emitted by a receive side whose transmit side is
+//!   foreign crosses as a `BoundaryMsg::Ctrl`.
 //!
 //! Synchronization is conservative (Chandy–Misra–Bryant style) with
 //! lookahead equal to the minimum inter-shard link latency. Each shard
@@ -39,7 +39,7 @@
 
 use crate::config::ConfigError;
 use crate::deadlock;
-use crate::engine::{CtrlSym, HostId, SwitchId};
+use crate::engine::CtrlSym;
 use crate::link::{ChanId, NodeRef};
 use crate::network::{Delivery, MessageLog, MessageRecord, NetStats, Network, RunOutcome};
 use crate::slab::PerWorm;
@@ -561,18 +561,6 @@ impl ShardedNetwork {
     /// install sources on the right shard).
     pub fn host_owner(&self) -> &[u32] {
         &self.host_owner
-    }
-
-    /// Resolve a host's owning shard engine mutably (e.g. to install a
-    /// protocol or source after construction).
-    pub fn net_of_host_mut(&mut self, host: HostId) -> &mut Network {
-        let s = self.host_owner[host.0 as usize] as usize;
-        &mut self.nets[s]
-    }
-
-    /// Owning shard of each switch.
-    pub fn switch_owner_of(&self, sw: SwitchId) -> u32 {
-        self.switch_owner[sw.0 as usize]
     }
 }
 

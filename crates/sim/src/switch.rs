@@ -1008,33 +1008,15 @@ impl Network {
     }
 
     /// Common post-dequeue bookkeeping for a switch input: send GO when the
-    /// buffer has drained below the low watermark. On an input fed across a
-    /// shard boundary, draining below the watermark also clears a pending
-    /// span NACK — restoring the foreign transmitter's optimism via the GO
-    /// itself, or via an explicit [`CtrlSym::SpanCredit`] when no STOP was
-    /// ever in force (DESIGN.md §3.4).
+    /// buffer has drained below the low watermark.
     pub(crate) fn after_slack_dequeue(&mut self, sw: SwitchId, port: u8) {
-        let (send_go, occ_lo, chan_in) = {
-            let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
-            let occ_lo = inp.occupancy() <= inp.slack.go_mark;
-            if inp.sent_stop && occ_lo {
-                inp.sent_stop = false;
-                (true, occ_lo, inp.chan_in)
-            } else {
-                (false, occ_lo, inp.chan_in)
-            }
-        };
-        let Some(ch) = chan_in else {
+        let inp = &mut self.switches[sw.0 as usize].inputs[port as usize];
+        if !(inp.sent_stop && inp.occupancy() <= inp.slack.go_mark) {
             return;
-        };
-        if send_go {
-            if self.lanes[ch.0 as usize].nack_pending() {
-                self.lanes[ch.0 as usize].set_nack_pending(false);
-            }
+        }
+        inp.sent_stop = false;
+        if let Some(ch) = inp.chan_in {
             self.send_ctrl(ch, CtrlSym::Go);
-        } else if occ_lo && self.lanes[ch.0 as usize].nack_pending() {
-            self.lanes[ch.0 as usize].set_nack_pending(false);
-            self.send_ctrl(ch, CtrlSym::SpanCredit);
         }
     }
 }

@@ -3,21 +3,11 @@
 //! The simulator counts **byte-times**: the time one byte needs to cross a
 //! link. On 640 Mb/s Myrinet one byte-time is 10 ns of wire time (8 bits at
 //! 800 Mbaud line rate with 8b/10b-style encoding comes out close to the
-//! 12.5 ns the raw data rate suggests; the paper's figures are plotted
-//! directly in byte-times, so we never need the wall-clock conversion for
-//! the reproductions — it is provided for the prototype model only).
+//! 12.5 ns the raw data rate suggests); the paper's figures are plotted
+//! directly in byte-times, so the reproductions never convert to seconds.
 
 /// A point in simulated time, in byte-times since the start of the run.
 pub type SimTime = u64;
-
-/// Byte-times per second on a 640 Mb/s Myrinet link (640e6 bits / 8).
-pub const BYTE_TIMES_PER_SECOND_640MBPS: f64 = 80_000_000.0;
-
-/// Convert a duration in byte-times to seconds on a 640 Mb/s link.
-#[inline]
-pub fn byte_times_to_seconds(bt: SimTime) -> f64 {
-    bt as f64 / BYTE_TIMES_PER_SECOND_640MBPS
-}
 
 /// Convert a throughput in bytes per byte-time (0.0..=1.0 per link) to
 /// megabits per second on a 640 Mb/s link.
@@ -33,12 +23,6 @@ mod tests {
     #[test]
     fn full_utilization_is_line_rate() {
         assert!((utilization_to_mbps(1.0) - 640.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn one_second_of_byte_times() {
-        let one_second = BYTE_TIMES_PER_SECOND_640MBPS as SimTime;
-        assert!((byte_times_to_seconds(one_second) - 1.0).abs() < 1e-9);
     }
 
     #[test]

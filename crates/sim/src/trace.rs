@@ -120,32 +120,12 @@ pub enum TraceEvent {
     /// in one batch at the receive side of `ch`. Erased by the per-byte
     /// expander.
     SpanDelivered { worm: u64, ch: ChanId, lane: u8, len: u64 },
-    /// Span-batched engine only: a `SpanNack` control symbol arrived on
-    /// the transmit side of `ch` (receive shard of a cut link rejected an
-    /// optimistic span), standing sender optimism down. Erased by the
-    /// per-byte expander.
+    /// No longer emitted: the cross-shard span NACK/credit throttle it
+    /// recorded was removed. The variant stays only because the benchmark
+    /// harness names it, and goes when sharded execution goes.
     SpanNack { ch: ChanId, lane: u8 },
-    /// Span-batched engine only: a `SpanCredit` control symbol arrived on
-    /// the transmit side of `ch`, restoring sender optimism. Erased by
-    /// the per-byte expander.
+    /// No longer emitted; see [`TraceEvent::SpanNack`].
     SpanCredit { ch: ChanId, lane: u8 },
-}
-
-impl TraceEvent {
-    /// The host this event concerns, if it is host-scoped.
-    fn host(&self) -> Option<HostId> {
-        match self {
-            TraceEvent::WormInjected { host, .. }
-            | TraceEvent::WormReceived { host, .. }
-            | TraceEvent::WormRefused { host, .. }
-            | TraceEvent::WormCorrupt { host, .. }
-            | TraceEvent::WormFlushed { host, .. }
-            | TraceEvent::FragmentParked { host, .. }
-            | TraceEvent::FragmentResumed { host, .. }
-            | TraceEvent::Delivered { host, .. } => Some(*host),
-            _ => None,
-        }
-    }
 }
 
 /// The trace recorder: a no-op when disabled, an in-memory log or a
@@ -239,25 +219,6 @@ impl Trace {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// All events concerning a particular host, in time order.
-    pub fn for_host(&self, host: HostId) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.events()
-            .iter()
-            .filter(move |(_, e)| e.host() == Some(host))
-    }
-
-    /// The sequence of message deliveries observed at `host`, in time order.
-    /// Used by total-ordering checks.
-    pub fn delivery_order(&self, host: HostId) -> Vec<MessageId> {
-        self.events()
-            .iter()
-            .filter_map(|(_, e)| match e {
-                TraceEvent::Delivered { msg, host: h } if *h == host => Some(*msg),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Serialize the trace as JSON Lines, one event per line.
@@ -422,38 +383,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delivery_order_filters_by_host() {
-        let mut t = Trace::default();
-        t.push(1, TraceEvent::Delivered {
-            msg: MessageId(10),
-            host: HostId(0),
-        });
-        t.push(2, TraceEvent::Delivered {
-            msg: MessageId(11),
-            host: HostId(1),
-        });
-        t.push(3, TraceEvent::Delivered {
-            msg: MessageId(12),
-            host: HostId(0),
-        });
-        assert_eq!(t.delivery_order(HostId(0)), vec![MessageId(10), MessageId(12)]);
-        assert_eq!(t.delivery_order(HostId(1)), vec![MessageId(11)]);
-    }
-
-    #[test]
-    fn for_host_ignores_channel_events() {
-        let mut t = Trace::default();
-        t.push(1, TraceEvent::StopInForce { ch: ChanId(0), lane: 0 });
-        t.push(2, TraceEvent::WormInjected {
-            worm: 0,
-            host: HostId(3),
-        });
-        assert_eq!(t.for_host(HostId(3)).count(), 1);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
     fn off_sink_records_nothing() {
         let mut t = Trace::new(TraceConfig::Off);
         assert!(!t.enabled());
@@ -479,7 +408,6 @@ mod tests {
             assert_eq!(got, want, "after push {i}");
             assert_eq!(t.len(), kept as usize);
             assert_eq!(t.dropped(), i + 1 - kept);
-            assert_eq!(t.for_host(HostId(0)).count(), kept as usize);
         }
         let jsonl = t.to_jsonl();
         assert_eq!(jsonl.lines().count(), capacity);

@@ -1,17 +1,15 @@
 //! # wormcast-stats — metrics for the experiments
 //!
-//! Statistics over simulation runs: latency distributions, throughput,
-//! loss rates, and (x, y) series formatted the way the paper's figures
-//! report them.
+//! Statistics over simulation runs: latency distributions, blocking
+//! times, link loads, and (x, y) series formatted the way the paper's
+//! figures report them.
 
 pub mod blocking;
 pub mod histogram;
 pub mod latency;
 pub mod links;
-pub mod loss;
 pub mod series;
 pub mod summary;
-pub mod throughput;
 
 pub use blocking::{blocked_times, BlockedTimes};
 pub use histogram::LogHistogram;
