@@ -193,9 +193,9 @@ fn adversarial_round_robin_plan_still_matches() {
 }
 
 /// Multi-lane boundary channels: with two virtual lanes per link, every
-/// cut channel is two independent byte streams, each lane carrying its own
-/// optimistic spans with its own mirror-truncation cutoff. Both shard
-/// counts must stay byte-identical to the sequential two-lane run.
+/// cut channel is two independent per-byte streams, each lane with its own
+/// STOP/GO state crossing the boundary. Both shard counts must stay
+/// byte-identical to the sequential two-lane run.
 #[test]
 fn torus_lanes2_matches_sharded() {
     let mut seq = setup_on(
@@ -220,8 +220,8 @@ fn torus_lanes2_matches_sharded() {
 /// The strongest adversarial cut: a parity checkerboard over the 4×4 torus
 /// (switch-hash on `x + y` rather than the raw index) puts **every**
 /// switch-to-switch link in the cut, so no worm ever advances a byte
-/// without crossing a shard boundary — every hot link exercises the
-/// optimistic-span / receive-side-truncation protocol.
+/// without crossing a shard boundary — every hot link falls back from
+/// spans to per-byte crossings and boundary STOP/GO symbols.
 /// Both engine modes must still match sequential byte for byte.
 #[test]
 fn adversarial_checkerboard_all_links_cut_still_matches() {
@@ -384,7 +384,7 @@ fn traced_sharded_irregular_expands_to_sequential() {
 #[test]
 fn traced_sharded_torus_lanes2_expands_to_sequential() {
     // Two lanes per link: span-level lines carry the lane field and every
-    // cut channel runs the optimistic-span protocol per lane.
+    // cut channel crosses per-byte, lane by lane.
     let mk = |mode| {
         let mut s = setup_on(torus(4, 1), Scheme::Hc(HcConfig::store_and_forward()), mode);
         s.lanes = 2;

@@ -58,11 +58,6 @@ pub enum WaitCause {
     StoppedDownstream { ch: ChanId },
     /// The worm has a hole: its next byte has not arrived from upstream.
     StarvedUpstream { ch: ChanId },
-    /// The worm's next bytes are crossing a shard boundary — an optimistic
-    /// span (or its per-byte expansion) is still in transit on cut channel
-    /// `ch`. Transit latency, not a genuine wait: these edges are excluded
-    /// from cycle detection (the bytes arrive without anyone yielding).
-    SpanInTransit { ch: ChanId },
     /// A switchcast replica branch transmits into a STOPped channel.
     BranchStopped { ch: ChanId },
     /// The host's outgoing link itself has a STOP in force.
@@ -77,9 +72,6 @@ impl fmt::Display for WaitCause {
             }
             WaitCause::StoppedDownstream { ch } => write!(f, "STOP in force on ch{}", ch.0),
             WaitCause::StarvedUpstream { ch } => write!(f, "starved, waiting bytes on ch{}", ch.0),
-            WaitCause::SpanInTransit { ch } => {
-                write!(f, "cross-shard span in transit on ch{}", ch.0)
-            }
             WaitCause::BranchStopped { ch } => {
                 write!(f, "multicast branch STOPped on ch{}", ch.0)
             }
@@ -168,96 +160,127 @@ fn node_worm(net: &Network, node: WaitNode) -> Option<WormId> {
     }
 }
 
-/// Identify the entity currently *producing* bytes into a switch input port:
-/// the upstream output's owner input, or the upstream host.
-fn upstream_producer(net: &Network, sw: SwitchId, port: u8) -> Option<(WaitNode, ChanId)> {
-    let ch = net.switches[sw.0 as usize].inputs[port as usize].chan_in?;
-    let src = net.lane(ch).src();
-    match src.node {
-        NodeRef::Host(h) => Some((WaitNode::HostTx(h), ch)),
-        NodeRef::Switch(up) => {
-            let owner = net.switches[up.0 as usize].outputs[src.port.index()].owner?;
-            Some((WaitNode::SwitchIn(up, owner), ch))
-        }
-    }
-}
-
 /// Build the annotated wait-for edge list of the current network state —
 /// the forensics view the watchdog dumps when it trips.
 pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
-    let mut edges: Vec<WaitEdge> = Vec::new();
-    let mut push = |net: &Network, from: WaitNode, to: WaitNode, worm: Option<WormId>, cause| {
-        edges.push(WaitEdge {
+    walk(std::slice::from_ref(net), |_| 0)
+}
+
+/// The wait-for walk over one simulated network executed by `nets.len()`
+/// engines, where `owner` names the engine owning each node; a sequential
+/// run is the one-engine case. Each engine walks its *owned* switches and
+/// adapters using its own (authoritative) state; whenever an edge's far
+/// side — the downstream input a STOP points at, the upstream producer of
+/// a starved worm, the holder of a contended output — lives in another
+/// shard, that shard's engine is consulted instead of the local idle
+/// mirror. With several engines, worm ids in the result are canonical
+/// *across* shards: each distinct worm tag is assigned a dense id in tag
+/// order, so the same worm blocked in one shard and holding a resource in
+/// another carries one name. A single engine keeps its own worm ids.
+fn walk(nets: &[Network], owner: impl Fn(WaitNode) -> usize) -> Vec<WaitEdge> {
+    struct RawEdge {
+        from: WaitNode,
+        to: WaitNode,
+        worm: Option<(usize, WormId)>,
+        holds: Option<(usize, WormId)>,
+        cause: WaitCause,
+    }
+
+    // The occupying worm of a node, read from the engine that owns it.
+    let holder = |node: WaitNode| -> Option<(usize, WormId)> {
+        let s = owner(node);
+        node_worm(&nets[s], node).map(|w| (s, w))
+    };
+    // The entity currently *producing* bytes into a switch input: the
+    // upstream host, or the upstream output's crossbar owner, resolved in
+    // the engine that owns the upstream switch.
+    let upstream = |net: &Network, sw: SwitchId, port: u8| -> Option<(WaitNode, ChanId)> {
+        let ch = net.switches[sw.0 as usize].inputs[port as usize].chan_in?;
+        let src = net.lane(ch).src();
+        match src.node {
+            NodeRef::Host(h) => Some((WaitNode::HostTx(h), ch)),
+            NodeRef::Switch(up) => {
+                let up_net = &nets[owner(WaitNode::SwitchIn(up, 0))];
+                let o = up_net.switches[up.0 as usize].outputs[src.port.index()].owner?;
+                Some((WaitNode::SwitchIn(up, o), ch))
+            }
+        }
+    };
+
+    // The switch input a lane's STOP came from, while one is in force.
+    let stopped_at = |net: &Network, ch: ChanId| -> Option<WaitNode> {
+        let lane = net.lane(ch);
+        match lane.dst().node {
+            NodeRef::Switch(down) if lane.is_stopped() => {
+                Some(WaitNode::SwitchIn(down, lane.dst().port.0))
+            }
+            _ => None,
+        }
+    };
+
+    let mut raw: Vec<RawEdge> = Vec::new();
+    let mut push = |from: WaitNode, to: WaitNode, worm: (usize, WormId), cause| {
+        raw.push(RawEdge {
             from,
             to,
-            worm,
-            holds: node_worm(net, to),
+            worm: Some(worm),
+            holds: holder(to),
             cause,
         });
     };
-    for sw in &net.switches {
-        for (pi, inp) in sw.inputs.iter().enumerate() {
-            let me = WaitNode::SwitchIn(sw.id, pi as u8);
-            match &inp.state {
-                InState::Idle | InState::Draining { .. } => {}
-                InState::Requesting { out, worm } => {
-                    // `out` is the physical port; the head waits on every
-                    // lane's current owner (any one freeing unblocks it).
-                    for slot in sw.slots_of(*out) {
-                        if let Some(owner) = sw.outputs[slot].owner {
-                            push(
-                                net,
-                                me,
-                                WaitNode::SwitchIn(sw.id, owner),
-                                Some(*worm),
-                                WaitCause::OutputHeldBy {
-                                    switch: sw.id,
-                                    out: *out,
-                                },
-                            );
-                        }
-                    }
-                }
-                InState::Forwarding { out, worm } => {
-                    if let Some(ch) = sw.outputs[*out as usize].chan_out {
-                        if net.lane(ch).is_stopped() {
-                            let dst = net.lane(ch).dst();
-                            if let NodeRef::Switch(down) = dst.node {
+    for (si, net) in nets.iter().enumerate() {
+        for sw in &net.switches {
+            if owner(WaitNode::SwitchIn(sw.id, 0)) != si {
+                continue;
+            }
+            for (pi, inp) in sw.inputs.iter().enumerate() {
+                let me = WaitNode::SwitchIn(sw.id, pi as u8);
+                match &inp.state {
+                    InState::Idle | InState::Draining { .. } => {}
+                    InState::Requesting { out, worm } => {
+                        // `out` is the physical port; the head waits on
+                        // every lane's current owner (any one freeing
+                        // unblocks it).
+                        for slot in sw.slots_of(*out) {
+                            if let Some(o) = sw.outputs[slot].owner {
                                 push(
-                                    net,
                                     me,
-                                    WaitNode::SwitchIn(down, dst.port.0),
-                                    Some(*worm),
-                                    WaitCause::StoppedDownstream { ch },
+                                    WaitNode::SwitchIn(sw.id, o),
+                                    (si, *worm),
+                                    WaitCause::OutputHeldBy {
+                                        switch: sw.id,
+                                        out: *out,
+                                    },
                                 );
                             }
                         }
                     }
-                    // Starved (hole in the worm): wait on upstream producer.
-                    let starved = match inp.buf.front() {
-                        None => true,
-                        Some(front) => front.worm != *worm,
-                    };
-                    if starved {
-                        if let Some((up, ch)) = upstream_producer(net, sw.id, pi as u8) {
-                            push(net, me, up, Some(*worm), WaitCause::StarvedUpstream { ch });
+                    InState::Forwarding { out, worm } => {
+                        // The transmit-side STOP state of this input's
+                        // outgoing channel is owned here (we are its src).
+                        if let Some(ch) = sw.outputs[*out as usize].chan_out {
+                            if let Some(to) = stopped_at(net, ch) {
+                                push(me, to, (si, *worm), WaitCause::StoppedDownstream { ch });
+                            }
+                        }
+                        // Starved (hole in the worm): wait on the upstream
+                        // producer.
+                        let starved = match inp.buf.front() {
+                            None => true,
+                            Some(front) => front.worm != *worm,
+                        };
+                        if starved {
+                            if let Some((up, ch)) = upstream(net, sw.id, pi as u8) {
+                                push(me, up, (si, *worm), WaitCause::StarvedUpstream { ch });
+                            }
                         }
                     }
-                }
-                InState::Replicating(rep) => {
-                    // Any stopped branch blocks the replica.
-                    for b in &rep.branches {
-                        if let Some(ch) = sw.outputs[b.out as usize].chan_out {
-                            if net.lane(ch).is_stopped() {
-                                let dst = net.lane(ch).dst();
-                                if let NodeRef::Switch(down) = dst.node {
-                                    push(
-                                        net,
-                                        me,
-                                        WaitNode::SwitchIn(down, dst.port.0),
-                                        Some(rep.worm),
-                                        WaitCause::BranchStopped { ch },
-                                    );
+                    InState::Replicating(rep) => {
+                        // Any stopped branch blocks the replica.
+                        for b in &rep.branches {
+                            if let Some(ch) = sw.outputs[b.out as usize].chan_out {
+                                if let Some(to) = stopped_at(net, ch) {
+                                    push(me, to, (si, rep.worm), WaitCause::BranchStopped { ch });
                                 }
                             }
                         }
@@ -265,27 +288,56 @@ pub fn wait_edges(net: &Network) -> Vec<WaitEdge> {
                 }
             }
         }
-    }
-    for a in &net.adapters {
-        let Some(head) = a.tx_queue.front() else {
-            continue;
-        };
-        if let Some(ch) = a.chan_out {
-            let c = net.lane(ch);
-            if c.is_stopped() {
-                if let NodeRef::Switch(sw) = c.dst().node {
-                    push(
-                        net,
-                        WaitNode::HostTx(a.id),
-                        WaitNode::SwitchIn(sw, c.dst().port.0),
-                        Some(head.worm),
-                        WaitCause::HostLinkStopped { ch },
-                    );
-                }
+        for a in &net.adapters {
+            let me = WaitNode::HostTx(a.id);
+            if owner(me) != si {
+                continue;
+            }
+            let (Some(head), Some(ch)) = (a.tx_queue.front(), a.chan_out) else {
+                continue;
+            };
+            if let Some(to) = stopped_at(net, ch) {
+                push(me, to, (si, head.worm), WaitCause::HostLinkStopped { ch });
             }
         }
     }
-    edges
+
+    // Canonicalize worm names: every shard holds the worm under its own
+    // dense local id, but all of them know its globally unique tag.
+    // Dense-rank the tags so the report names each worm once, stably. A
+    // single engine's own ids already do.
+    let sharded = nets.len() > 1;
+    let tag_of = |(s, w): (usize, WormId)| -> u64 {
+        nets[s]
+            .worm_tag(w)
+            .unwrap_or(((s as u64) << 50) | w.0 as u64)
+    };
+    let mut tags: Vec<u64> = raw
+        .iter()
+        .filter(|_| sharded)
+        .flat_map(|e| e.worm.into_iter().chain(e.holds))
+        .map(tag_of)
+        .collect();
+    tags.sort_unstable();
+    tags.dedup();
+    let canon = |o: Option<(usize, WormId)>| -> Option<WormId> {
+        o.map(|(s, w)| {
+            if !sharded {
+                return w;
+            }
+            let rank = tags.binary_search(&tag_of((s, w))).expect("tag collected");
+            WormId(rank as u32)
+        })
+    };
+    raw.into_iter()
+        .map(|e| WaitEdge {
+            from: e.from,
+            to: e.to,
+            worm: canon(e.worm),
+            holds: canon(e.holds),
+            cause: e.cause,
+        })
+        .collect()
 }
 
 /// Collapse an edge list into the adjacency map [`find_cycle`] consumes.
@@ -352,12 +404,7 @@ pub fn find_cycle(g: &HashMap<WaitNode, Vec<WaitNode>>) -> Option<Vec<WaitNode>>
 /// Analyze a network snapshot for a deadlock cycle. `Some` only when a
 /// genuine wait cycle exists (overload alone is not deadlock).
 pub fn analyze(net: &Network) -> Option<DeadlockReport> {
-    let report = forensics(net);
-    if report.cycle.is_empty() {
-        None
-    } else {
-        Some(report)
-    }
+    Some(forensics(net)).filter(|r| !r.cycle.is_empty())
 }
 
 /// Unconditional forensics snapshot: the full annotated wait-for graph, a
@@ -365,256 +412,34 @@ pub fn analyze(net: &Network) -> Option<DeadlockReport> {
 /// in protocol state rather than fabric state), and the outstanding-worm
 /// count. The watchdog and the drained-queue deadlock check dump this.
 pub fn forensics(net: &Network) -> DeadlockReport {
-    let edges = wait_edges(net);
-    let cycle = find_cycle(&graph_from_edges(&edges)).unwrap_or_default();
-    DeadlockReport {
-        cycle,
-        stuck_worms: net.stats.active_worms.max(0) as u64,
-        edges,
-    }
+    report(std::slice::from_ref(net), wait_edges(net))
 }
 
-// ---------------------------------------------------------------------------
-// Sharded (multi-engine) aggregation
-// ---------------------------------------------------------------------------
-
-/// Build the merged wait-for edge list across the shard engines of one
-/// sharded run. Each shard walks its *owned* switches and adapters using
-/// its own (authoritative) state; whenever an edge's far side — the
-/// downstream input a STOP points at, the upstream producer of a starved
-/// worm, the holder of a contended output — lives in another shard, that
-/// shard's engine is consulted instead of the local idle mirror. Worm ids
-/// in the result are canonical *across* shards: each distinct worm tag is
-/// assigned a dense id in tag order, so the same worm blocked in one
-/// shard and holding a resource in another carries one name.
-pub fn wait_edges_multi(
-    nets: &[Network],
-    switch_owner: &[u32],
-    host_owner: &[u32],
-) -> Vec<WaitEdge> {
-    struct RawEdge {
-        from: WaitNode,
-        to: WaitNode,
-        worm: Option<(usize, WormId)>,
-        holds: Option<(usize, WormId)>,
-        cause: WaitCause,
-    }
-
-    let owner_of = |node: WaitNode| -> usize {
-        match node {
-            WaitNode::SwitchIn(sw, _) => switch_owner[sw.0 as usize] as usize,
-            WaitNode::HostTx(h) => host_owner[h.0 as usize] as usize,
-        }
-    };
-    // The occupying worm of a node, read from the shard that owns it.
-    let node_worm_multi = |node: WaitNode| -> Option<(usize, WormId)> {
-        let s = owner_of(node);
-        node_worm(&nets[s], node).map(|w| (s, w))
-    };
-    // Upstream producer of a switch input, resolving the upstream output's
-    // crossbar owner in *its* shard (the local mirror knows nothing).
-    let upstream_multi = |net: &Network, sw: SwitchId, port: u8| -> Option<(WaitNode, ChanId)> {
-        let ch = net.switches[sw.0 as usize].inputs[port as usize].chan_in?;
-        let src = net.lane(ch).src();
-        match src.node {
-            NodeRef::Host(h) => Some((WaitNode::HostTx(h), ch)),
-            NodeRef::Switch(up) => {
-                let up_net = &nets[switch_owner[up.0 as usize] as usize];
-                let owner = up_net.switches[up.0 as usize].outputs[src.port.index()].owner?;
-                Some((WaitNode::SwitchIn(up, owner), ch))
-            }
-        }
-    };
-
-    let mut raw: Vec<RawEdge> = Vec::new();
-    for (si, net) in nets.iter().enumerate() {
-        for sw in &net.switches {
-            if switch_owner[sw.id.0 as usize] as usize != si {
-                continue;
-            }
-            for (pi, inp) in sw.inputs.iter().enumerate() {
-                let me = WaitNode::SwitchIn(sw.id, pi as u8);
-                match &inp.state {
-                    InState::Idle | InState::Draining { .. } => {}
-                    InState::Requesting { out, worm } => {
-                        for slot in sw.slots_of(*out) {
-                            if let Some(owner) = sw.outputs[slot].owner {
-                                let to = WaitNode::SwitchIn(sw.id, owner);
-                                raw.push(RawEdge {
-                                    from: me,
-                                    to,
-                                    worm: Some((si, *worm)),
-                                    holds: node_worm_multi(to),
-                                    cause: WaitCause::OutputHeldBy {
-                                        switch: sw.id,
-                                        out: *out,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                    InState::Forwarding { out, worm } => {
-                        // The transmit-side STOP state of this input's
-                        // outgoing channel is owned here (we are its src).
-                        if let Some(ch) = sw.outputs[*out as usize].chan_out {
-                            if net.lane(ch).is_stopped() {
-                                let dst = net.lane(ch).dst();
-                                if let NodeRef::Switch(down) = dst.node {
-                                    let to = WaitNode::SwitchIn(down, dst.port.0);
-                                    raw.push(RawEdge {
-                                        from: me,
-                                        to,
-                                        worm: Some((si, *worm)),
-                                        holds: node_worm_multi(to),
-                                        cause: WaitCause::StoppedDownstream { ch },
-                                    });
-                                }
-                            }
-                        }
-                        let starved = match inp.buf.front() {
-                            None => true,
-                            Some(front) => front.worm != *worm,
-                        };
-                        if starved {
-                            if let Some((up, ch)) = upstream_multi(net, sw.id, pi as u8) {
-                                // A starvation whose missing bytes are an
-                                // optimistic span (or its expansion) still
-                                // in transit across the shard boundary is
-                                // latency, not a wait — label it so cycle
-                                // detection can ignore the edge.
-                                let cause = if net.chan_src_foreign(ch)
-                                    && net.lane(ch).has_foreign_in_transit()
-                                {
-                                    WaitCause::SpanInTransit { ch }
-                                } else {
-                                    WaitCause::StarvedUpstream { ch }
-                                };
-                                raw.push(RawEdge {
-                                    from: me,
-                                    to: up,
-                                    worm: Some((si, *worm)),
-                                    holds: node_worm_multi(up),
-                                    cause,
-                                });
-                            }
-                        }
-                    }
-                    InState::Replicating(rep) => {
-                        for b in &rep.branches {
-                            if let Some(ch) = sw.outputs[b.out as usize].chan_out {
-                                if net.lane(ch).is_stopped() {
-                                    let dst = net.lane(ch).dst();
-                                    if let NodeRef::Switch(down) = dst.node {
-                                        let to = WaitNode::SwitchIn(down, dst.port.0);
-                                        raw.push(RawEdge {
-                                            from: me,
-                                            to,
-                                            worm: Some((si, rep.worm)),
-                                            holds: node_worm_multi(to),
-                                            cause: WaitCause::BranchStopped { ch },
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for a in &net.adapters {
-            if host_owner[a.id.0 as usize] as usize != si {
-                continue;
-            }
-            let Some(head) = a.tx_queue.front() else {
-                continue;
-            };
-            if let Some(ch) = a.chan_out {
-                let c = net.lane(ch);
-                if c.is_stopped() {
-                    if let NodeRef::Switch(sw) = c.dst().node {
-                        let to = WaitNode::SwitchIn(sw, c.dst().port.0);
-                        raw.push(RawEdge {
-                            from: WaitNode::HostTx(a.id),
-                            to,
-                            worm: Some((si, head.worm)),
-                            holds: node_worm_multi(to),
-                            cause: WaitCause::HostLinkStopped { ch },
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    // Canonicalize worm names: every shard holds the worm under its own
-    // dense local id, but all of them know its globally unique tag.
-    // Dense-rank the tags so the report names each worm once, stably.
-    let tag_of = |(s, w): (usize, WormId)| -> u64 {
-        nets[s]
-            .worm_tag(w)
-            .unwrap_or(((s as u64) << 50) | w.0 as u64)
-    };
-    let mut tags: Vec<u64> = raw
-        .iter()
-        .flat_map(|e| e.worm.into_iter().chain(e.holds))
-        .map(tag_of)
-        .collect();
-    tags.sort_unstable();
-    tags.dedup();
-    let canon = |o: Option<(usize, WormId)>| -> Option<WormId> {
-        o.map(|sw| {
-            let rank = tags.binary_search(&tag_of(sw)).expect("tag collected");
-            WormId(rank as u32)
-        })
-    };
-    raw.into_iter()
-        .map(|e| WaitEdge {
-            from: e.from,
-            to: e.to,
-            worm: canon(e.worm),
-            holds: canon(e.holds),
-            cause: e.cause,
-        })
-        .collect()
-}
-
-/// Unconditional merged forensics for a sharded run (the multi-engine
-/// analogue of [`forensics`]).
-pub fn forensics_multi(
-    nets: &[Network],
-    switch_owner: &[u32],
-    host_owner: &[u32],
-) -> DeadlockReport {
-    let edges = wait_edges_multi(nets, switch_owner, host_owner);
-    // In-transit cross-shard spans resolve on their own (the bytes are on
-    // the wire); keep the edges in the report for forensics but never let
-    // them close a "cycle".
-    let hard: Vec<WaitEdge> = edges
-        .iter()
-        .filter(|e| !matches!(e.cause, WaitCause::SpanInTransit { .. }))
-        .copied()
-        .collect();
-    let cycle = find_cycle(&graph_from_edges(&hard)).unwrap_or_default();
-    let stuck: i64 = nets.iter().map(|n| n.stats.active_worms).sum();
-    DeadlockReport {
-        cycle,
-        stuck_worms: stuck.max(0) as u64,
-        edges,
-    }
-}
-
-/// Analyze a sharded run's merged state for a deadlock cycle. `Some` only
-/// when a genuine wait cycle exists, exactly like [`analyze`].
+/// Analyze a sharded run's merged state for a deadlock cycle, exactly
+/// like [`analyze`]: the wait-for graph is walked across all shard
+/// engines, with `switch_owner`/`host_owner` naming the engine that owns
+/// each switch and host.
 pub fn analyze_multi(
     nets: &[Network],
     switch_owner: &[u32],
     host_owner: &[u32],
 ) -> Option<DeadlockReport> {
-    let report = forensics_multi(nets, switch_owner, host_owner);
-    if report.cycle.is_empty() {
-        None
-    } else {
-        Some(report)
+    let edges = walk(nets, |node| match node {
+        WaitNode::SwitchIn(sw, _) => switch_owner[sw.0 as usize] as usize,
+        WaitNode::HostTx(h) => host_owner[h.0 as usize] as usize,
+    });
+    Some(report(nets, edges)).filter(|r| !r.cycle.is_empty())
+}
+
+/// Assemble a report from a walked edge list: one representative cycle,
+/// if any, and the outstanding-worm count summed over the engines.
+fn report(nets: &[Network], edges: Vec<WaitEdge>) -> DeadlockReport {
+    let cycle = find_cycle(&graph_from_edges(&edges)).unwrap_or_default();
+    let stuck: i64 = nets.iter().map(|n| n.stats.active_worms).sum();
+    DeadlockReport {
+        cycle,
+        stuck_worms: stuck.max(0) as u64,
+        edges,
     }
 }
 

@@ -17,13 +17,13 @@ pub struct SwitchId(pub u32);
 /// A control symbol travelling on the reverse channel of a link.
 ///
 /// `Stop`/`Go` implement the backpressure protocol of the paper's Figure 1.
-/// `BackwardReset` is the Myrinet `BRES` symbol, used by the switch-level
-/// "multicast-IDLE flush" scheme to evict a blocked unicast worm.
+/// (The switch-level "multicast-IDLE flush" scheme evicts a blocked worm
+/// synchronously through `Network::flush_worm` rather than by sending the
+/// Myrinet `BRES` symbol hop by hop.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CtrlSym {
     Stop,
     Go,
-    BackwardReset,
 }
 
 /// Every event the simulator processes.
@@ -38,16 +38,9 @@ pub enum Event {
     RxByte { ch: ChanId, byte: WireByte },
     /// A batched run of data bytes arrives at the receive side of `ch`
     /// (span-batched mode). The span itself is queued on the channel.
-    ///
-    /// On a cut link this event plays two roles: the receive-side owner
-    /// schedules it at first-byte arrival to admit (or expand) the span,
-    /// and the transmit-side owner schedules it at end-of-transmission to
-    /// retire its local wire-occupancy entry (see `shard.rs`).
+    /// Spans never cross a shard boundary: a cut link carries per-byte
+    /// `RxByte`s only (see `shard.rs`).
     RxSpan { ch: ChanId },
-    /// One byte of a rejected cross-shard span lands at the receive side
-    /// of `ch` (sharded runs only): the span was turned back into the
-    /// per-byte arrival stream it stood for, one event per wire slot.
-    RxForeign { ch: ChanId },
     /// A control symbol arrives at the *transmit* side of `ch` (it travelled
     /// on the reverse channel from the receiver).
     CtrlRx { ch: ChanId, sym: CtrlSym },
@@ -88,12 +81,7 @@ impl Event {
             // both in a sequential run and through a shard mailbox (which
             // is per-sender FIFO). No per-symbol rank needed.
             Event::CtrlRx { ch, .. } => ID + ch.0 as u64,
-            // An expanded foreign-span byte is *the* per-byte arrival the
-            // span stood for, so it takes exactly the RxByte rank — the
-            // canonical per-byte schedule's position for that wire slot.
-            // The two kinds never share a (time, lane) pair: per-byte
-            // boundary bytes are paced behind the span they follow.
-            Event::RxByte { ch, .. } | Event::RxForeign { ch } => 4 * ID + ch.0 as u64,
+            Event::RxByte { ch, .. } => 4 * ID + ch.0 as u64,
             Event::RxSpan { ch } => 5 * ID + ch.0 as u64,
             Event::TxKick { ch, .. } => 6 * ID + ch.0 as u64,
             Event::HostTimer { host, .. } => 7 * ID + host.0 as u64,

@@ -171,27 +171,6 @@ pub struct Lane {
     /// Kick generation: bumped when a STOP truncates an in-flight span so
     /// the span chain's already-scheduled end-of-span `TxKick` is ignored.
     kick_gen: u32,
-    /// Receive-side owner of a cut lane only: the send-slot cutoff implied
-    /// by the newest STOP this side emitted — a span's bytes at slots
-    /// `>= cutoff` were revoked at the (foreign) transmitter. 0 = never
-    /// stopped; monotone (a fresh STOP can only raise it).
-    foreign_stop_cutoff: SimTime,
-    /// Receive-side owner of a cut lane only: rejected optimistic spans
-    /// being re-expanded into their per-byte arrival stream, in wire order.
-    foreign_runs: VecDeque<ForeignRun>,
-}
-
-/// A rejected cross-shard span being expanded back into per-byte arrivals
-/// at the receive-side owner: bytes at wire slots `next .. end` are still
-/// owed (one `Event::RxForeign` each).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct ForeignRun {
-    pub(crate) worm: WormId,
-    /// Arrival slot of the next owed byte.
-    pub(crate) next: SimTime,
-    /// One past the last arrival slot (clamped when a STOP revokes the
-    /// span's unsent tail at the transmitter).
-    pub(crate) end: SimTime,
 }
 
 impl Lane {
@@ -230,8 +209,6 @@ impl Lane {
             // of outstanding spans at once).
             spans: VecDeque::with_capacity(8),
             kick_gen: 0,
-            foreign_stop_cutoff: 0,
-            foreign_runs: VecDeque::new(),
         }
     }
 
@@ -288,16 +265,12 @@ impl Lane {
         self.in_flight
     }
 
-    /// Transmit side: bytes of an in-flight span whose per-byte send
-    /// slots are still in the future. A span emission batch-pops its
-    /// whole run from the producer's buffer at emission time, while the
-    /// per-byte twin dequeues one byte per send slot — until the span's
-    /// last slot passes, the producer's per-byte-equivalent occupancy
-    /// exceeds its local one by up to this amount. (A STOP truncation
-    /// rewinds `next_tx_time`, relinquishing the revoked slots.)
+    /// Earliest time the next byte may be put on the wire. A span claims
+    /// its send slots at emission, so this can lie several byte-times in
+    /// the future.
     #[inline]
-    pub(crate) fn drain_advance(&self, now: SimTime) -> u64 {
-        self.next_tx_time.saturating_sub(now + 1)
+    pub(crate) fn next_tx_time(&self) -> SimTime {
+        self.next_tx_time
     }
 
     /// Counter snapshot for statistics consumers.
@@ -370,8 +343,9 @@ impl Lane {
     /// On success the lane's occupancy, pacing and carried-byte counters are
     /// updated; the caller schedules the arrival at `SendTicket::deliver_at`.
     ///
-    /// `count_in_flight` is false only for cross-shard sends, where the
-    /// receive-side owner keeps the occupancy (see `shard.rs`).
+    /// `count_in_flight` is false only for per-byte sends across a shard
+    /// boundary: neither engine's copy of a cut lane counts its wire
+    /// occupancy (see `shard.rs`).
     pub(crate) fn try_send(
         &mut self,
         now: SimTime,
@@ -397,9 +371,7 @@ impl Lane {
                 self.next_tx_time = now + 1;
             }
             TxPayload::Span { worm, len } => {
-                // Spans cross shard boundaries with `count_in_flight` true:
-                // the transmit-side copy tracks wire occupancy until the
-                // end-of-transmission retirement event (network.rs).
+                debug_assert!(count_in_flight, "spans never cross a shard boundary");
                 self.in_flight += len as u32;
                 self.bytes_carried += len;
                 self.next_tx_time = now + len;
@@ -493,99 +465,6 @@ impl Lane {
         self.kick_gen = self.kick_gen.wrapping_add(1);
         self.tx_active = false;
         Some((worm, revoked))
-    }
-
-    // -- cross-shard span protocol (DESIGN.md §3.4) --------------------------
-
-    /// Receive-side owner of a cut lane: an optimistic span arrived from
-    /// the foreign transmitter. Queued in wire order (the mailbox is FIFO)
-    /// and counted in this copy's `in_flight` until delivery.
-    pub(crate) fn enqueue_foreign_span(&mut self, span: SpanInFlight) {
-        self.in_flight += span.len as u32;
-        self.spans.push_back(span);
-    }
-
-    /// Receive-side owner of a cut lane emitted a STOP at `now`: it lands
-    /// at the foreign transmitter at `now + delay`, which truncates any
-    /// span still sending there. Record that cutoff (monotone — spans
-    /// emitted after the matching GO start later than any cutoff) and clamp
-    /// the active expansion runs: the transmitter physically sent only the
-    /// bytes before the cutoff, so arrivals end at `cutoff + delay`.
-    pub(crate) fn note_foreign_stop(&mut self, now: SimTime) {
-        let cutoff = now + self.delay;
-        debug_assert!(cutoff >= self.foreign_stop_cutoff, "clock runs forward");
-        self.foreign_stop_cutoff = cutoff;
-        let arrivals_end = cutoff + self.delay;
-        for run in &mut self.foreign_runs {
-            run.end = run.end.min(arrivals_end);
-        }
-    }
-
-    /// Truncate the just-arriving foreign span (queue front) against the
-    /// recorded STOP cutoff, mirroring exactly the truncation the foreign
-    /// transmitter performed on its copy: bytes at send slots `>= cutoff`
-    /// never went on the wire. Returns the revoked byte count.
-    pub(crate) fn truncate_arriving_foreign_span(&mut self) -> u64 {
-        let cutoff = self.foreign_stop_cutoff;
-        let Some(span) = self.spans.front_mut() else {
-            return 0;
-        };
-        if cutoff <= span.start || span.start + span.len <= cutoff {
-            return 0;
-        }
-        // `cutoff > start` (a span can never start at its own STOP-arrival
-        // slot: the STOP precedes the same-tick kick), so the transmitter's
-        // `sent = (cutoff - start).max(1)` is exactly `cutoff - start`.
-        let sent = cutoff - span.start;
-        let revoked = span.len - sent;
-        span.len = sent;
-        self.in_flight -= revoked as u32;
-        revoked
-    }
-
-    /// Worm carried by the oldest in-flight span, if any (trace
-    /// attribution for receive-side truncation).
-    pub(crate) fn front_span_worm(&self) -> Option<crate::worm::WormId> {
-        self.spans.front().map(|s| s.worm)
-    }
-
-    pub(crate) fn push_foreign_run(&mut self, run: ForeignRun) {
-        self.foreign_runs.push_back(run);
-    }
-
-    pub(crate) fn foreign_run_front(&self) -> Option<ForeignRun> {
-        self.foreign_runs.front().copied()
-    }
-
-    pub(crate) fn foreign_run_front_mut(&mut self) -> Option<&mut ForeignRun> {
-        self.foreign_runs.front_mut()
-    }
-
-    pub(crate) fn pop_foreign_run(&mut self) {
-        self.foreign_runs.pop_front();
-    }
-
-    /// Receive-side owner of a cut lane: bytes are still on the wire or
-    /// mid-expansion — the upstream starvation a deadlock probe sees is
-    /// transit latency, not a genuine wait.
-    pub(crate) fn has_foreign_in_transit(&self) -> bool {
-        !self.spans.is_empty() || !self.foreign_runs.is_empty()
-    }
-
-    /// Receive-side owner of a cut lane: bytes the foreign transmitter
-    /// still owes this copy beyond the per-byte pacing bound — queued
-    /// optimistic spans (the only contribution to this copy's
-    /// `in_flight`) plus the un-expanded remainder of rejected runs. An
-    /// optimistic span occupies send slots reaching into the
-    /// transmitter's future, so unlike paced per-byte traffic these are
-    /// not bounded by the wire delay.
-    pub(crate) fn foreign_span_backlog(&self) -> u64 {
-        self.in_flight as u64
-            + self
-                .foreign_runs
-                .iter()
-                .map(|r| r.end.saturating_sub(r.next))
-                .sum::<u64>()
     }
 }
 

@@ -5,8 +5,7 @@ use crate::config::ConfigError;
 use crate::deadlock::DeadlockReport;
 use crate::engine::{CtrlSym, Event, HostId, Scheduler, SwitchId};
 use crate::link::{
-    ChanId, Endpoint, ForeignRun, Lane, LaneArbiterKind, Link, LinkId, NodeRef, PortId,
-    SpanInFlight, TxPayload,
+    ChanId, Endpoint, Lane, LaneArbiterKind, Link, LinkId, NodeRef, PortId, TxPayload,
 };
 use crate::protocol::{
     Admission, AdapterProtocol, AppMessage, Command, Destination, ProtocolCtx, SendSpec,
@@ -753,7 +752,6 @@ impl Network {
             Event::TxKick { ch, gen } => self.handle_tx_kick(ch, gen),
             Event::RxByte { ch, byte } => self.handle_rx_byte(ch, byte),
             Event::RxSpan { ch } => self.handle_rx_span(ch),
-            Event::RxForeign { ch } => self.handle_rx_foreign(ch),
             Event::CtrlRx { ch, sym } => self.handle_ctrl(ch, sym),
             Event::Inject { host } => {
                 self.pending_injects -= 1;
@@ -835,50 +833,13 @@ impl Network {
     pub(crate) fn send_ctrl(&mut self, ch: ChanId, sym: CtrlSym) {
         let delay = self.lanes[ch.0 as usize].delay();
         if self.chan_src_foreign(ch) {
-            let now = self.scheduler.now();
-            if sym == CtrlSym::Stop {
-                // Remember where this STOP cuts the foreign transmitter's
-                // send slots, so spans already in the mailbox can be
-                // truncated on arrival exactly as the transmitter will
-                // truncate its own copy (DESIGN.md §3.4).
-                self.lanes[ch.0 as usize].note_foreign_stop(now);
-            }
-            let ts = now + delay;
+            let ts = self.scheduler.now() + delay;
             let s = self.shard.as_ref().expect("foreign src implies shard ctx");
             let to = s.chan_src_owner[ch.0 as usize] as usize;
-            s.outboxes[to]
-                .as_ref()
-                .expect("cross-shard channel has a mailbox")
-                .lock()
-                .unwrap()
-                .push_back(crate::shard::BoundaryMsg::Ctrl { ts, ch, sym });
+            self.push_boundary(to, crate::shard::BoundaryMsg::Ctrl { ts, ch, sym });
         } else {
             self.scheduler.after(delay, Event::CtrlRx { ch, sym });
         }
-    }
-
-    /// Boundary-send bookkeeping shared by the per-byte and span paths:
-    /// the destination shard of `ch`, the worm's canonical tag, and its
-    /// snapshot iff this is the first contact between the two shards for
-    /// this worm.
-    fn boundary_tag_snap(
-        &mut self,
-        ch: ChanId,
-        worm: WormId,
-    ) -> (usize, u64, Option<Box<crate::shard::WormSnap>>) {
-        let tag = self.worm_names.get(worm);
-        debug_assert_ne!(tag, u64::MAX, "worm crossed a boundary without a name");
-        let (to, need_snap) = {
-            let s = self.shard.as_mut().expect("boundary send implies shard ctx");
-            let to = s.chan_dst_owner[ch.0 as usize] as usize;
-            let mask = s.snap_sent.get_mut(worm);
-            let need = *mask & (1 << to) == 0;
-            *mask |= 1 << to;
-            (to, need)
-        };
-        let snap =
-            need_snap.then(|| Box::new(crate::shard::WormSnap::of(&self.worms[worm.0 as usize])));
-        (to, tag, snap)
     }
 
     /// Enqueue one boundary message in shard `to`'s mailbox.
@@ -896,7 +857,18 @@ impl Network {
     /// receive-side owner's mailbox, attaching the worm snapshot the first
     /// time this shard sends that shard a byte of this worm.
     fn send_boundary_byte(&mut self, ch: ChanId, ts: SimTime, b: crate::worm::WireByte) {
-        let (to, tag, snap) = self.boundary_tag_snap(ch, b.worm);
+        let tag = self.worm_names.get(b.worm);
+        debug_assert_ne!(tag, u64::MAX, "worm crossed a boundary without a name");
+        let (to, need_snap) = {
+            let s = self.shard.as_mut().expect("boundary send implies shard ctx");
+            let to = s.chan_dst_owner[ch.0 as usize] as usize;
+            let mask = s.snap_sent.get_mut(b.worm);
+            let need = *mask & (1 << to) == 0;
+            *mask |= 1 << to;
+            (to, need)
+        };
+        let snap = need_snap
+            .then(|| Box::new(crate::shard::WormSnap::of(&self.worms[b.worm.0 as usize])));
         self.push_boundary(
             to,
             crate::shard::BoundaryMsg::Rx {
@@ -904,23 +876,6 @@ impl Network {
                 ch,
                 tag,
                 kind: b.kind,
-                snap,
-            },
-        );
-    }
-
-    /// Put an optimistic span of `len` data bytes of `worm` on cross-shard
-    /// channel `ch`, first byte landing at `ts`. The receive-side owner
-    /// truncates it against its own STOP watermarks on arrival.
-    fn send_boundary_span(&mut self, ch: ChanId, ts: SimTime, worm: WormId, len: u64) {
-        let (to, tag, snap) = self.boundary_tag_snap(ch, worm);
-        self.push_boundary(
-            to,
-            crate::shard::BoundaryMsg::RxSpan {
-                ts,
-                ch,
-                tag,
-                len,
                 snap,
             },
         );
@@ -948,26 +903,6 @@ impl Network {
                 let worm = self.worm_for_tag(tag, snap);
                 self.scheduler
                     .at(ts, Event::RxByte { ch, byte: crate::worm::WireByte { worm, kind } });
-            }
-            crate::shard::BoundaryMsg::RxSpan {
-                ts,
-                ch,
-                tag,
-                len,
-                snap,
-            } => {
-                let worm = self.worm_for_tag(tag, snap);
-                let start = ts - self.lanes[ch.0 as usize].delay();
-                // Queue the span on the local (receive-side) lane copy and
-                // schedule its admission at first-byte arrival. A STOP this
-                // side emitted before `ts` truncates it then, mirroring the
-                // transmitter's own truncation (see `handle_rx_span`).
-                self.lanes[ch.0 as usize].enqueue_foreign_span(SpanInFlight {
-                    worm,
-                    start,
-                    len,
-                });
-                self.scheduler.at(ts, Event::RxSpan { ch });
             }
             crate::shard::BoundaryMsg::Ctrl { ts, ch, sym } => {
                 self.scheduler.at(ts, Event::CtrlRx { ch, sym });
@@ -1099,12 +1034,11 @@ impl Network {
         if !self.switchcast_allows_spans() {
             return false;
         }
-        // Bytes bound for another shard go out as an *optimistic* span:
-        // the receive-side occupancy needed for an exact admission check
-        // lives over there, so the owner performs it on arrival — either
-        // admitting the span whole or expanding it back into per-byte
-        // arrivals (DESIGN.md §3.4).
-        let dst_foreign = self.chan_dst_foreign(ch);
+        // Bytes bound for another shard cross per-byte: the receive-side
+        // occupancy an exact room check needs lives over there.
+        if self.chan_dst_foreign(ch) {
+            return false;
+        }
         let (src, dst, wire) = {
             let c = &self.lanes[ch.0 as usize];
             (c.src(), c.dst(), c.in_flight() as u64)
@@ -1115,32 +1049,11 @@ impl Network {
         }) else {
             return false;
         };
-        let room = if dst_foreign {
-            // Bound the optimistic span by the mirror's slack geometry
-            // alone (shards are built from identical fabrics). Any bound
-            // is semantics-safe — the owner truncates or expands on
-            // arrival — this one just keeps the rejection rate low.
-            let NodeRef::Switch(s) = dst.node else {
-                // Host-terminated lanes never cross shards (hosts follow
-                // their attach switch); fall back defensively.
-                return false;
-            };
-            let mark =
-                self.switches[s.0 as usize].inputs[dst.port.index()].slack.stop_mark as u64;
-            let r = mark.saturating_sub(1 + wire);
-            if r == 0 {
-                return false;
-            }
-            r
-        } else {
-            let probed = match dst.node {
-                NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire, worm),
-                NodeRef::Host(h) => self.adapter_span_room(h, worm),
-            };
-            let Some(room) = probed else {
-                return false;
-            };
-            room
+        let Some(room) = (match dst.node {
+            NodeRef::Switch(s) => self.switch_span_room(s, dst.port.0, wire, worm),
+            NodeRef::Host(h) => self.adapter_span_room(h, worm),
+        }) else {
+            return false;
         };
         let mut k = avail.min(room);
         // Keep the watchdog's progress sampling meaningful: a span credits
@@ -1190,16 +1103,7 @@ impl Network {
             self.trace
                 .push(now, TraceEvent::SpanEmitted { worm, ch, lane, len: k });
         }
-        if dst_foreign {
-            self.send_boundary_span(ch, ticket.deliver_at, worm, k);
-            // The receive-side owner delivers the bytes; this RxSpan fires
-            // at end-of-transmission to retire the local wire-occupancy
-            // entry, which must stay truncatable while still sending
-            // (see `handle_rx_span`).
-            self.scheduler.at(now + k, Event::RxSpan { ch });
-        } else {
-            self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
-        }
+        self.scheduler.at(ticket.deliver_at, Event::RxSpan { ch });
         if producer_drained {
             // The span took everything the producer had; an end-of-span
             // kick would only find an empty buffer (the dominant event cost
@@ -1217,49 +1121,9 @@ impl Network {
     /// Deliver the oldest in-flight span on `ch`. Spans and single bytes on
     /// one channel share FIFO wire order, so the queue front is always the
     /// arriving span.
-    ///
-    /// On a cut lane this event plays two roles: at the transmit-side owner
-    /// it fires at end-of-transmission and merely retires the local
-    /// wire-occupancy entry; at the receive-side owner it fires at
-    /// first-byte arrival and performs the admission check the transmitter
-    /// optimistically skipped.
     fn handle_rx_span(&mut self, ch: ChanId) {
-        if self.chan_dst_foreign(ch) {
-            // Transmit-side retirement: the entry (possibly STOP-truncated
-            // since emission) only tracked wire occupancy here. Entries and
-            // retirement events pair up 1:1 in FIFO order, so the popped
-            // lengths sum correctly even when truncations reordered the
-            // nominal end-of-transmission times.
-            let _ = self.lanes[ch.0 as usize].deliver_span();
-            return;
-        }
-        let src_foreign = self.chan_src_foreign(ch);
-        if src_foreign {
-            // Mirror, before taking the span off the wire, exactly the
-            // truncation any STOP this side emitted has meanwhile forced
-            // on the transmitter's copy (`Lane::truncate_arriving_foreign_span`).
-            let revoked = self.lanes[ch.0 as usize].truncate_arriving_foreign_span();
-            if revoked > 0 && self.trace.enabled() {
-                let now = self.scheduler.now();
-                let l = &self.lanes[ch.0 as usize];
-                let (worm, lane) = (l.front_span_worm(), l.lane_index());
-                if let Some(worm) = worm {
-                    let worm = self.worm_name(worm);
-                    self.trace
-                        .push(now, TraceEvent::SpanTruncated { worm, ch, lane, revoked });
-                }
-            }
-        }
         let (dst, span) = self.lanes[ch.0 as usize].deliver_span();
-        if span.len == 0 {
-            // Fully revoked by a STOP truncation (only the already-sent
-            // remainder of a span survives; an empty one is just the
-            // placeholder for this event).
-            return;
-        }
-        if src_foreign && !self.admit_foreign_span(ch, dst, &span) {
-            return;
-        }
+        debug_assert!(span.len > 0, "STOP truncation keeps a span's first byte");
         // Credit `bytes_moved` per-byte-exactly: byte `j` of the span
         // conceptually arrives at `now + j`, and only arrivals strictly
         // before the run deadline count — its per-byte twin would sort
@@ -1287,78 +1151,6 @@ impl Network {
         match dst.node {
             NodeRef::Switch(s) => self.switch_rx_span(s, dst.port.0, span.worm, span.len),
             NodeRef::Host(h) => self.adapter_rx_span(h, span.worm, span.len),
-        }
-    }
-
-    /// Receive-side admission of an optimistic cross-shard span: admit it
-    /// whole iff bulk delivery is provably indistinguishable from per-byte
-    /// arrival — the input has no STOP in force and the whole run stays
-    /// strictly below the STOP watermark (`switch_span_room` with zero
-    /// wire bytes: everything on the wire IS this span). Otherwise expand
-    /// the span back into the per-byte arrival stream it stood for (one
-    /// [`Event::RxForeign`] per wire slot, at exactly the canonical
-    /// per-byte positions). Returns whether the span was admitted.
-    fn admit_foreign_span(&mut self, ch: ChanId, dst: Endpoint, span: &SpanInFlight) -> bool {
-        let NodeRef::Switch(s) = dst.node else {
-            unreachable!("cut lanes terminate at switches (hosts follow their attach switch)");
-        };
-        if self
-            .switch_span_room(s, dst.port.0, 0, span.worm)
-            .is_some_and(|room| span.len <= room)
-        {
-            return true;
-        }
-        let now = self.scheduler.now();
-        self.lanes[ch.0 as usize].push_foreign_run(ForeignRun {
-            worm: span.worm,
-            next: now,
-            end: now + span.len,
-        });
-        // Rank 4 (RxByte) sorts before this RxSpan's rank 5, so pushing at
-        // `now` fires the first expansion byte immediately after this
-        // event — at its exact canonical arrival slot.
-        self.scheduler.at(now, Event::RxForeign { ch });
-        false
-    }
-
-    /// One byte of a rejected cross-shard span lands: re-create exactly
-    /// the per-byte arrival the span stood for. Self-scheduling: each
-    /// delivery arms the next slot until the run is exhausted or a STOP
-    /// clamp revoked its tail.
-    fn handle_rx_foreign(&mut self, ch: ChanId) {
-        let now = self.scheduler.now();
-        let Some(run) = self.lanes[ch.0 as usize].foreign_run_front() else {
-            return;
-        };
-        if now >= run.end {
-            // A STOP clamp revoked everything still owed.
-            self.lanes[ch.0 as usize].pop_foreign_run();
-            return;
-        }
-        debug_assert_eq!(run.next, now, "expansion bytes arrive one per wire slot");
-        let dst = self.lanes[ch.0 as usize].dst();
-        if let Some(r) = self.lanes[ch.0 as usize].foreign_run_front_mut() {
-            r.next = now + 1;
-        }
-        self.stats.bytes_moved += 1;
-        let NodeRef::Switch(s) = dst.node else {
-            unreachable!("cut lanes terminate at switches");
-        };
-        self.switch_rx_byte(
-            s,
-            dst.port.0,
-            crate::worm::WireByte {
-                worm: run.worm,
-                kind: ByteKind::Data,
-            },
-        );
-        // The arrival may have crossed the STOP mark, clamping this very
-        // run's end through `note_foreign_stop` — re-read before arming
-        // the next slot.
-        match self.lanes[ch.0 as usize].foreign_run_front() {
-            Some(r) if r.next < r.end => self.scheduler.at(r.next, Event::RxForeign { ch }),
-            Some(_) => self.lanes[ch.0 as usize].pop_foreign_run(),
-            None => {}
         }
     }
 
@@ -1462,7 +1254,6 @@ impl Network {
                 }
                 self.kick_channel(ch);
             }
-            CtrlSym::BackwardReset => self.switchcast_backward_reset(ch),
         }
     }
 

@@ -7,14 +7,11 @@
 //! whose target entity lives in another shard cross as *boundary
 //! messages* over per-ordered-pair FIFO mailboxes:
 //!
-//! - a byte put on a cross-shard channel crosses as a `BoundaryMsg::Rx`
-//!   (the first byte of each worm carries a `WormSnap` so the receiving
-//!   shard can materialise the worm locally),
-//! - a batched run of data bytes crosses as a `BoundaryMsg::RxSpan` — an
-//!   *optimistic* span sized from sender-local state only; the receiving
-//!   shard truncates it against its own STOP watermarks on arrival and
-//!   either admits it whole or expands it back into the per-byte arrival
-//!   stream it stood for (DESIGN.md §3.4), and
+//! - every byte put on a cross-shard channel crosses on its own as a
+//!   `BoundaryMsg::Rx` (the first byte of each worm carries a `WormSnap`
+//!   so the receiving shard can materialise the worm locally). Spans never
+//!   cross: the receive-side occupancy an exact span room check needs
+//!   lives in the other shard, so the transmitter sends per-byte, and
 //! - a STOP/GO symbol emitted by a receive side whose transmit side is
 //!   foreign crosses as a `BoundaryMsg::Ctrl`.
 //!
@@ -118,18 +115,6 @@ pub(crate) enum BoundaryMsg {
         kind: ByteKind,
         snap: Option<Box<WormSnap>>,
     },
-    /// An optimistic span of `len` data bytes arriving at the receive side
-    /// of cut channel `ch`, first byte at `ts`. The sender sized it from
-    /// local state only; the receive-side owner truncates it against its
-    /// own STOP watermarks on arrival and either admits it whole or
-    /// expands it back into per-byte arrivals (DESIGN.md §3.4).
-    RxSpan {
-        ts: SimTime,
-        ch: ChanId,
-        tag: u64,
-        len: u64,
-        snap: Option<Box<WormSnap>>,
-    },
     /// A control symbol arriving at the transmit side of cross-shard
     /// channel `ch` (it travelled the reverse channel).
     Ctrl {
@@ -142,9 +127,7 @@ pub(crate) enum BoundaryMsg {
 impl BoundaryMsg {
     pub(crate) fn ts(&self) -> SimTime {
         match self {
-            BoundaryMsg::Rx { ts, .. }
-            | BoundaryMsg::RxSpan { ts, .. }
-            | BoundaryMsg::Ctrl { ts, .. } => *ts,
+            BoundaryMsg::Rx { ts, .. } | BoundaryMsg::Ctrl { ts, .. } => *ts,
         }
     }
 }
@@ -514,13 +497,6 @@ impl ShardedNetwork {
                             "shard {i}: lane {:?} has {} bytes in flight with no active worms",
                             c.id(),
                             c.in_flight()
-                        ));
-                    }
-                    if c.has_foreign_in_transit() {
-                        return Err(format!(
-                            "shard {i}: lane {:?} still holds a foreign span or \
-                             expansion run with no active worms",
-                            c.id()
                         ));
                     }
                 }

@@ -823,17 +823,11 @@ impl Network {
         // throughout the window in both modes; below the stop mark, neither
         // mode can emit a STOP while the run drains.
         let wire = match inp.chan_in {
-            // Fed across a shard boundary: the local `in_flight` copy
-            // only counts queued optimistic spans. Paced per-byte
-            // crossings occupy distinct send slots in `(now-delay, now]`
-            // at the foreign transmitter, so `delay` bounds them — but
-            // optimistic spans and rejected-run expansions claim send
-            // slots reaching into the transmitter's future and can each
-            // exceed `delay`; count those explicitly on top.
-            Some(c) if self.chan_src_foreign(c) => {
-                let l = &self.lanes[c.0 as usize];
-                l.delay() + l.foreign_span_backlog()
-            }
+            // Fed across a shard boundary: neither engine counts the cut
+            // lane's occupancy, but its bytes cross per-byte and occupy
+            // distinct send slots in `(now-delay, now]` at the foreign
+            // transmitter, so `delay` bounds them.
+            Some(c) if self.chan_src_foreign(c) => self.lanes[c.0 as usize].delay(),
             Some(c) => self.lanes[c.0 as usize].in_flight() as u64,
             None => 0,
         };
@@ -882,15 +876,18 @@ impl Network {
     /// The room is measured along the worm's established path, not at the
     /// landing input alone: an input that forwards `worm`, with no STOP of
     /// its own in force, onto an unstopped lane passes the bytes on at one
-    /// per byte-time as they arrive and never accumulates them. The walk
-    /// steps through such inputs, charging each one's occupancy and its
-    /// output lane's in-flight bytes, and stops at the first input that
-    /// does not pass through. There the whole charge — every byte that
-    /// could pile up behind it — must stay below its stop mark, which is
-    /// the one-hop rule applied at the end of the pipeline. A path that
-    /// reaches a host adapter has unlimited room: adapters never send
-    /// STOP. Sharded runs (where the path may leave this shard) keep the
-    /// one-hop rule.
+    /// per byte-time once that lane is free. Until then it holds them: a
+    /// lane whose send slots run `lag` byte-times past the first arrival
+    /// (a span batch-popped earlier claimed them) piles up `lag` arrivals
+    /// on top of the input's occupancy, so the input passes through only
+    /// while that pile stays below its *own* stop mark. The walk steps
+    /// through such inputs, charging each one's occupancy and its output
+    /// lane's in-flight bytes, and stops at the first input that does not
+    /// pass through. There the whole charge — every byte that could pile
+    /// up behind it — must stay below its stop mark, which is the one-hop
+    /// rule applied at the end of the pipeline. A path that reaches a host
+    /// adapter has unlimited room: adapters never send STOP. Sharded runs
+    /// (where the path may leave this shard) keep the one-hop rule.
     pub(crate) fn switch_span_room(
         &self,
         sw: SwitchId,
@@ -899,6 +896,7 @@ impl Network {
         worm: WormId,
     ) -> Option<u64> {
         let walk = self.shard.is_none();
+        let now = self.scheduler.now();
         let mut used = wire;
         let (mut sw, mut port) = (sw, port);
         loop {
@@ -911,9 +909,16 @@ impl Network {
             used += inp.occupancy() as u64;
             let passing = match inp.state {
                 InState::Forwarding { worm: w, out } if walk && w == worm => {
+                    // No arrival lands before `now` plus the incoming delay.
+                    let in_delay = inp.chan_in.map_or(0, |c| self.lanes[c.0 as usize].delay());
+                    let pile = inp.occupancy() as u64 + 1;
                     self.switches[sw.0 as usize].outputs[out as usize]
                         .chan_out
-                        .filter(|&c| !self.lanes[c.0 as usize].is_stopped())
+                        .filter(|&c| {
+                            let lane = &self.lanes[c.0 as usize];
+                            let lag = lane.next_tx_time().saturating_sub(now + in_delay);
+                            !lane.is_stopped() && pile + lag < inp.slack.stop_mark as u64
+                        })
                 }
                 _ => None,
             };
@@ -928,27 +933,9 @@ impl Network {
                 NodeRef::Switch(next) => (sw, port) = (next, dst.port.0),
             }
         }
-        let inp = &self.switches[sw.0 as usize].inputs[port as usize];
-        // An optimistic span this input batch-drained toward a cut
-        // downstream lane is a gamble still in flight: the receive-side
-        // owner may yet refuse or STOP-truncate it, and the per-byte
-        // twin still holds its future-slot bytes right here — the local
-        // occupancy runs speculatively low by that unsent tail until
-        // the span's last send slot passes (or a STOP rewinds it).
-        // Charge it as used room: over-charging only shrinks spans
-        // (always exact), while reading the advanced occupancy would
-        // defer a STOP crossing the per-byte twin takes mid-window.
-        // Intra-shard drains need no charge — their emission guard
-        // certified the whole drain window crossing-free.
-        if let InState::Forwarding { out, .. } = inp.state {
-            if let Some(c) = self.switches[sw.0 as usize].outputs[out as usize]
-                .chan_out
-                .filter(|&c| self.chan_dst_foreign(c))
-            {
-                used += self.lanes[c.0 as usize].drain_advance(self.scheduler.now());
-            }
-        }
-        let mark = inp.slack.stop_mark as u64;
+        let mark = self.switches[sw.0 as usize].inputs[port as usize]
+            .slack
+            .stop_mark as u64;
         // Strictly below the mark even after all `used + k` bytes land at
         // the end of the path with no dequeue: occupancy can never cross it
         // in either mode.

@@ -979,13 +979,6 @@ impl Network {
     pub(crate) fn discard_if_flushed(&mut self, byte: &WireByte) -> bool {
         self.worm_flags.get(byte.worm) & crate::slab::FLAG_FLUSHED != 0
     }
-
-    /// Unused legacy entry point: flushes are performed synchronously by
-    /// [`Network::flush_worm`]; no Backward Reset symbols are scheduled.
-    pub(crate) fn switchcast_backward_reset(&mut self, ch: crate::link::ChanId) {
-        let _ = ch;
-        unreachable!("Backward Reset symbols are never scheduled")
-    }
 }
 
 /// IDLE fill duration after which an output is flagged `multicast-IDLE`

@@ -112,9 +112,9 @@ pub enum TraceEvent {
     /// transmit side of `ch` as one batched span. Erased by the
     /// per-byte expander.
     SpanEmitted { worm: u64, ch: ChanId, lane: u8, len: u64 },
-    /// Span-batched engine only: a STOP (or a receive-side watermark on a
-    /// cut link) cut `revoked` not-yet-wire-committed bytes off the
-    /// newest in-flight span on `ch`. Erased by the per-byte expander.
+    /// Span-batched engine only: a STOP cut `revoked` not-yet-wire-committed
+    /// bytes off the newest in-flight span on `ch`. Erased by the per-byte
+    /// expander.
     SpanTruncated { worm: u64, ch: ChanId, lane: u8, revoked: u64 },
     /// Span-batched engine only: `len` body bytes of `worm` were admitted
     /// in one batch at the receive side of `ch`. Erased by the per-byte

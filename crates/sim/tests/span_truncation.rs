@@ -83,11 +83,14 @@ impl AdapterProtocol for Relay {
     }
 }
 
-/// A line of `n` switches, one host each (host `i` on switch `i`), with
-/// explicit routes between every pair of hosts: along the line, then out
-/// to the host port. Switch 0's port 0 faces right; every other switch has
-/// port 0 facing left and port 1 facing right; the host port comes last.
-fn line_net(n: usize, delay: u64, mode: SimMode, trace: TraceConfig) -> Network {
+/// A line of `delays.len() + 1` switches, one host each (host `i` on
+/// switch `i`), with explicit routes between every pair of hosts: along
+/// the line, then out to the host port. The link between switches `s` and
+/// `s + 1` has delay `delays[s]`; host links have delay 1. Switch 0's
+/// port 0 faces right; every other switch has port 0 facing left and port
+/// 1 facing right; the host port comes last.
+fn line_net(delays: &[u64], mode: SimMode, trace: TraceConfig) -> Network {
+    let n = delays.len() + 1;
     let mut links = Vec::new();
     let mut next_port = vec![0u8; n];
     for s in 0..n - 1 {
@@ -98,7 +101,7 @@ fn line_net(n: usize, delay: u64, mode: SimMode, trace: TraceConfig) -> Network 
         links.push(LinkSpec {
             a: (s as u32, PortId(a)),
             b: ((s + 1) as u32, PortId(b)),
-            delay,
+            delay: delays[s],
             lanes: 0,
         });
     }
@@ -158,7 +161,7 @@ fn send_one(net: &mut Network, from: u32, to: u32, at: u64, len: u32) {
 /// through the sw1→sw2 link, so simultaneous worms to host 2 collide
 /// there and raise STOPs.
 fn contention_net(delay: u64, mode: SimMode, worm_len: u32, trace: TraceConfig) -> Network {
-    let mut net = line_net(3, delay, mode, trace);
+    let mut net = line_net(&[delay; 2], mode, trace);
     // Both senders fire long worms nearly together; the second loses the
     // sw1→sw2 output and backpressures while spans are in flight.
     for (h, at) in [(0u32, 10u64), (1, 12)] {
@@ -325,8 +328,8 @@ fn stop_heavy_run_keeps_stats_identical() {
 fn path_span_crosses_each_hop_whole() {
     for delay in [1u64, 3] {
         let label = format!("line5 delay {delay}");
-        let mut per_byte = line_net(5, delay, SimMode::PerByte, TraceConfig::Memory);
-        let mut spans = line_net(5, delay, SimMode::SpanBatched, TraceConfig::Memory);
+        let mut per_byte = line_net(&[delay; 4], SimMode::PerByte, TraceConfig::Memory);
+        let mut spans = line_net(&[delay; 4], SimMode::SpanBatched, TraceConfig::Memory);
         for net in [&mut per_byte, &mut spans] {
             send_one(net, 0, 4, 10, 2_000);
         }
@@ -363,8 +366,8 @@ fn path_span_crosses_each_hop_whole() {
 fn path_ending_at_a_blocked_input_stops_and_goes_per_byte() {
     for delay in [1u64, 3, 8] {
         let label = format!("blocked line5 delay {delay}");
-        let mut per_byte = line_net(5, delay, SimMode::PerByte, TraceConfig::Memory);
-        let mut spans = line_net(5, delay, SimMode::SpanBatched, TraceConfig::Memory);
+        let mut per_byte = line_net(&[delay; 4], SimMode::PerByte, TraceConfig::Memory);
+        let mut spans = line_net(&[delay; 4], SimMode::SpanBatched, TraceConfig::Memory);
         for net in [&mut per_byte, &mut spans] {
             send_one(net, 3, 4, 10, 1_500);
             send_one(net, 0, 4, 12, 1_000);
@@ -391,7 +394,7 @@ fn cut_through_follower_resends_a_path_span_arrival() {
     for delay in [1u64, 3] {
         let label = format!("relay line5 delay {delay}");
         let mk = |mode, trace| {
-            let mut net = line_net(5, delay, mode, trace);
+            let mut net = line_net(&[delay; 4], mode, trace);
             net.set_protocol(HostId(2), Box::new(Relay { next: HostId(4) }));
             send_one(&mut net, 0, 2, 10, 2_000);
             net
@@ -410,6 +413,71 @@ fn cut_through_follower_resends_a_path_span_arrival() {
         assert!(
             spans_of(&spans, true).iter().any(|&(_, len)| len > 500),
             "{label}: the original never arrived through a path span"
+        );
+    }
+}
+
+/// Path room must respect every input the span passes through, not only
+/// the one where it comes to rest. An input that forwards the worm onto a
+/// lane still busy with bytes batch-popped earlier holds the span's
+/// arrivals until that lane frees up; per-byte, those arrivals can reach
+/// the input's own (smaller) stop mark and raise STOP mid-window. Each case
+/// is a line of switches with its inter-switch delays and a list of
+/// unicast worms `(src, at, dst, len)`, found by a seeded lockstep search.
+#[test]
+fn path_room_respects_pass_through_stop_marks() {
+    type Worm = (u32, u64, u32, u32);
+    let cases: [(&[u64], &[Worm]); 2] = [
+        // Host 1's worm waits at sw1's host-fed input (stop mark 9) behind
+        // host 2's worm; once it wins the output, a span sized by sw0's
+        // input (stop mark 48) would skip the STOP/GO per-byte raises on
+        // the host link.
+        (&[40, 1], &[(2, 75, 0, 101), (1, 180, 0, 1_855)]),
+        (
+            &[67, 26],
+            &[
+                (0, 7, 1, 102),
+                (0, 175, 1, 1_539),
+                (0, 217, 1, 1_528),
+                (1, 293, 0, 172),
+                (1, 304, 0, 1_228),
+                (2, 82, 0, 182),
+            ],
+        ),
+    ];
+    for (i, (delays, worms)) in cases.into_iter().enumerate() {
+        let label = format!("pass-through case {i} delays {delays:?}");
+        let mk = |mode| {
+            let mut net = line_net(delays, mode, TraceConfig::Memory);
+            let hosts = delays.len() as u32 + 1;
+            for h in 0..hosts {
+                let mut items: Vec<(u64, SourceMessage)> = worms
+                    .iter()
+                    .filter(|w| w.0 == h)
+                    .map(|&(_, at, dst, len)| {
+                        (
+                            at,
+                            SourceMessage {
+                                dest: Destination::Unicast(HostId(dst)),
+                                payload_len: len,
+                            },
+                        )
+                    })
+                    .collect();
+                items.sort_by_key(|&(at, _)| at);
+                if let Some(&(first, _)) = items.first() {
+                    net.set_source(HostId(h), Box::new(Script { items, ix: 0 }), first);
+                }
+            }
+            net
+        };
+        let mut per_byte = mk(SimMode::PerByte);
+        let mut spans = mk(SimMode::SpanBatched);
+        assert_lockstep(&mut per_byte, &mut spans, 12_000, &label);
+        assert_eq!(
+            deliveries(&spans).len(),
+            worms.len(),
+            "{label}: every worm arrives"
         );
     }
 }
